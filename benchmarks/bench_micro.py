@@ -15,6 +15,8 @@ from repro.graphs.udg import unit_disk_graph
 from repro.mobility.base import Region
 from repro.mobility.random_waypoint import RandomWaypointMobility
 from repro.sim.engine import Simulator
+from repro.sim.mac import Medium
+from repro.sim.radio import RadioConfig
 
 
 def _points(n, seed, side=1000.0):
@@ -171,3 +173,43 @@ def test_event_engine_throughput(benchmark):
         return count[0]
 
     assert benchmark(run_10k_events) == 10_000
+
+
+def test_medium_epidemic_window(benchmark):
+    """Shared-medium traffic of Table 1 epidemic load, 2 s of it.
+
+    The epidemic Table 1 run puts about 90 frames per second on the air
+    (52k frames in 600 s) from 50 nodes on 1500 m x 300 m.  Each attempt
+    asks ``contention_at`` and ``busy_until`` and registers its airtime;
+    each completion asks ``interferers_at``.  The second simulated
+    second runs against a full 1 s window of finished transmissions,
+    the records every query used to rescan.
+    """
+    rng = random.Random(5)
+    nodes = [
+        Point(rng.uniform(0, 1500.0), rng.uniform(0, 300.0)) for _ in range(50)
+    ]
+    # (time, sender, backoff): 32 slots of 20 us at most.
+    attempts = sorted(
+        (rng.uniform(0.0, 2.0), rng.randrange(50), rng.uniform(0, 0.00064))
+        for _ in range(180)
+    )
+    radio = RadioConfig(range_m=100.0)
+    airtime = radio.airtime(1032)
+
+    def two_seconds():
+        sim = Simulator()
+        medium = Medium(sim, radio)
+        heard = 0
+        for now, node, backoff in attempts:
+            sim.now = now
+            pos = nodes[node]
+            heard += medium.contention_at(pos, exclude=node)
+            start = medium.busy_until(pos, exclude=node) + backoff
+            medium.register(node, pos, start, start + airtime)
+            heard += medium.interferers_at(
+                pos, start, start + airtime, exclude=node
+            )
+        return heard
+
+    assert benchmark(two_seconds) > 0

@@ -21,7 +21,7 @@ from repro.sim.storage import MessageStore
 from repro.sim.world import Protocol
 
 
-@dataclass
+@dataclass(slots=True)
 class BufferedCopy:
     """A message held in a contact protocol's buffer, with its hop count."""
 
@@ -77,7 +77,7 @@ class ContactProtocol(Protocol):
 
     def buffer_uids(self) -> frozenset[int]:
         """Uids of currently buffered messages."""
-        return frozenset(self.buffer.keys())
+        return frozenset(self.buffer)
 
     def hold(self, message: Message, hops: int) -> None:
         """Insert a message into the buffer (FIFO-evicting when full)."""

@@ -125,7 +125,7 @@ class EpidemicProtocol(ContactProtocol):
     def _on_summary(self, frame: Frame) -> None:
         assert self.api is not None
         theirs: frozenset[int] = frame.payload
-        missing = sorted(theirs - self.buffer_uids())
+        missing = sorted(self.buffer.missing(theirs))
         if not missing:
             return
         if self.config.request_batch is not None:

@@ -130,7 +130,7 @@ class ReceiptEpidemicProtocol(EpidemicProtocol):
                 if self.api.send(receipt):
                     self.receipt_frames_sent += 1
 
-        missing = sorted(theirs - self.buffer_uids() - self.receipts)
+        missing = sorted(self.buffer.missing(theirs) - self.receipts)
         if not missing:
             return
         if self.config.request_batch is not None:

@@ -1,26 +1,27 @@
 """Event scheduler — the heart of the discrete-event simulator.
 
-A classic calendar built on :mod:`heapq`.  Events are ``(time, seq,
-callback)`` triples; ``seq`` is a monotonically increasing tiebreaker so
+A classic calendar built on :mod:`heapq`.  Heap entries are ``(time,
+seq, event)`` tuples; ``seq`` is a monotonically increasing tiebreaker so
 same-time events fire in scheduling order (deterministic replays matter
-more than queue fairness here).  Cancellation is lazy: handles are
-flagged and skipped when popped, which keeps cancel O(1).
+more than queue fairness here).  Because ``seq`` is unique, tuple
+comparison never reaches the event, and the heap compares in C.
+Cancellation is lazy: handles are flagged and skipped when popped, which
+keeps cancel O(1).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 
-@dataclass(order=True)
+@dataclass(slots=True)
 class _Event:
     time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    callback: Callable[[], None]
+    cancelled: bool = False
 
 
 class EventHandle:
@@ -51,7 +52,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: list[_Event] = []
+        self._heap: list[tuple[float, int, _Event]] = []
         self._seq: int = 0
         self._events_processed: int = 0
 
@@ -70,9 +71,9 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule into the past: {time} < now {self.now}"
             )
-        event = _Event(time=time, seq=self._seq, callback=callback)
+        event = _Event(time=time, callback=callback)
+        heapq.heappush(self._heap, (time, self._seq, event))
         self._seq += 1
-        heapq.heappush(self._heap, event)
         return EventHandle(event)
 
     def schedule(
@@ -85,17 +86,18 @@ class Simulator:
 
     def peek_time(self) -> float | None:
         """Time of the next pending (non-cancelled) event, or None."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     def step(self) -> bool:
         """Execute the next event.  Returns False when the calendar is empty."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            time, _, event = heapq.heappop(self._heap)
             if event.cancelled:
                 continue
-            self.now = event.time
+            self.now = time
             self._events_processed += 1
             event.callback()
             return True
@@ -122,7 +124,7 @@ class Simulator:
 
     def pending_events(self) -> int:
         """Number of scheduled, non-cancelled events."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for _, _, e in self._heap if not e.cancelled)
 
 
 class PeriodicTask:

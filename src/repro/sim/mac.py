@@ -30,6 +30,7 @@ depends on.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -74,7 +75,7 @@ class MacConfig:
             raise ValueError("collision probability must be in [0, 1]")
 
 
-@dataclass
+@dataclass(slots=True)
 class _ActiveTransmission:
     sender: NodeId
     position: Point
@@ -90,12 +91,21 @@ class Medium:
     whose backoff has not ended yet is invisible to other stations (DCF
     cannot see the future), so deferral never cascades through frames
     that are themselves still waiting.
+
+    Invariant: the records are ordered by ``end_time`` (ties in
+    registration order), and ``_ends[i]`` is ``_active[i].end_time``.
+    Every query is a window ``end_time > t``, so it bisects ``_ends``
+    and scans only the suffix of transmissions still on the air or just
+    finished; purging drops a prefix.  Counts and the max over end
+    times do not depend on scan order, so results equal a scan of all
+    records in any order.
     """
 
     def __init__(self, sim: Simulator, radio: RadioConfig):
         self._sim = sim
         self._radio = radio
         self._active: list[_ActiveTransmission] = []
+        self._ends: list[float] = []
 
     #: How long finished transmissions are kept for overlap queries.
     #: Completion-time collision checks look back over the frame's own
@@ -103,9 +113,15 @@ class Medium:
     _GRACE = 1.0
 
     def _purge(self) -> None:
-        horizon = self._sim.now - self._GRACE
-        if any(t.end_time <= horizon for t in self._active):
-            self._active = [t for t in self._active if t.end_time > horizon]
+        cut = bisect_right(self._ends, self._sim.now - self._GRACE)
+        if cut:
+            del self._active[:cut]
+            del self._ends[:cut]
+
+    def _ending_after(self, t: float) -> list[_ActiveTransmission]:
+        """Records with ``end_time > t``, after purging."""
+        self._purge()
+        return self._active[bisect_right(self._ends, t) :]
 
     def register(
         self,
@@ -116,19 +132,22 @@ class Medium:
     ) -> None:
         """Record a transmission on air during ``[start_time, end_time)``."""
         self._purge()
-        self._active.append(
+        at = bisect_right(self._ends, end_time)
+        self._ends.insert(at, end_time)
+        self._active.insert(
+            at,
             _ActiveTransmission(
                 sender=sender,
                 position=position,
                 start_time=start_time,
                 end_time=end_time,
-            )
+            ),
         )
 
     def _sensed(self, position: Point, exclude: NodeId | None):
         now = self._sim.now
-        for t in self._active:
-            if t.start_time > now or t.end_time <= now:
+        for t in self._ending_after(now):
+            if t.start_time > now:
                 continue
             if exclude is not None and t.sender == exclude:
                 continue
@@ -137,7 +156,6 @@ class Medium:
 
     def contention_at(self, position: Point, exclude: NodeId | None = None) -> int:
         """Number of transmissions on air right now sensed at ``position``."""
-        self._purge()
         return sum(1 for _ in self._sensed(position, exclude))
 
     def busy_until(self, position: Point, exclude: NodeId | None = None) -> float:
@@ -146,7 +164,6 @@ class Medium:
         Returns the current time when the medium is idle.  This is what
         DCF deferral waits for before starting its backoff.
         """
-        self._purge()
         latest = self._sim.now
         for t in self._sensed(position, exclude):
             latest = max(latest, t.end_time)
@@ -159,12 +176,11 @@ class Medium:
 
         Used for receiver-side collision checks at frame completion.
         """
-        self._purge()
         count = 0
-        for t in self._active:
+        for t in self._ending_after(start):
             if exclude is not None and t.sender == exclude:
                 continue
-            if t.end_time <= start or t.start_time >= end:
+            if t.start_time >= end:
                 continue
             if self._radio.in_carrier_sense_range(t.position, position):
                 count += 1
@@ -172,12 +188,8 @@ class Medium:
 
     def active_count(self) -> int:
         """Transmissions on air right now (diagnostics)."""
-        self._purge()
-        return sum(
-            1
-            for t in self._active
-            if t.start_time <= self._sim.now < t.end_time
-        )
+        now = self._sim.now
+        return sum(1 for t in self._ending_after(now) if t.start_time <= now)
 
 
 class MacStats:

@@ -48,6 +48,7 @@ from repro.sim.engine import PeriodicTask, Simulator
 from repro.sim.radio import RadioConfig
 from repro.telemetry.profile import (
     NULL_PROFILER,
+    PHASE_LDT,
     PHASE_MOBILITY,
     PHASE_UDG,
 )
@@ -221,8 +222,6 @@ class NeighborService:
         k-local construction on consistent beacon data.
         """
         if self._ldt_cache is None:
-            # Charged to the UDG/graph-rebuild phase: the LDTG is the
-            # other per-epoch graph construction over the same snapshot.
             t0 = self._profiler.start()
             self._ldt_cache = local_delaunay_graph(
                 self._snapshot.positions,
@@ -230,7 +229,7 @@ class NeighborService:
                 k=self.ldt_k,
                 udg=self._snapshot,
             )
-            self._profiler.add(PHASE_UDG, t0)
+            self._profiler.add(PHASE_LDT, t0)
         return set(self._ldt_cache.neighbors(node))
 
     def ldt_graph(self) -> SpatialGraph:

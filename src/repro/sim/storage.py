@@ -17,8 +17,7 @@ paper's eviction priority and reports their combined occupancy.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Hashable, Iterator, Optional
+from typing import AbstractSet, Hashable, Iterator, Optional
 
 
 class StoreFullError(Exception):
@@ -29,15 +28,15 @@ class MessageStore:
     """A FIFO message area with optional capacity (in messages).
 
     Keys are arbitrary hashables (message uids or copy ids); values are
-    the stored items.  Insertion order is preserved; eviction removes the
-    oldest entry.
+    the stored items.  Insertion order is preserved (a plain dict keeps
+    it); eviction removes the oldest entry.
     """
 
     def __init__(self, capacity: Optional[int] = None):
         if capacity is not None and capacity <= 0:
             raise ValueError("capacity must be positive (or None)")
         self.capacity = capacity
-        self._items: "OrderedDict[Hashable, object]" = OrderedDict()
+        self._items: dict[Hashable, object] = {}
         self.peak_occupancy = 0
         self.evictions = 0
         self._occupancy_time_product = 0.0
@@ -55,6 +54,10 @@ class MessageStore:
     def keys(self) -> list[Hashable]:
         """Stored keys, oldest first."""
         return list(self._items)
+
+    def missing(self, keys: AbstractSet[Hashable]) -> frozenset[Hashable]:
+        """Those of ``keys`` not stored here."""
+        return frozenset(keys).difference(self._items)
 
     def values(self) -> list[object]:
         """Stored items, oldest first."""
@@ -83,7 +86,7 @@ class MessageStore:
         while self.is_full:
             if not evict:
                 raise StoreFullError(f"store at capacity {self.capacity}")
-            _, old = self._items.popitem(last=False)
+            old = self._items.pop(next(iter(self._items)))
             self.evictions += 1
             evicted.append(old)
         self._items[key] = item
@@ -98,8 +101,7 @@ class MessageStore:
         """Remove and return the oldest item (None when empty)."""
         if not self._items:
             return None
-        _, item = self._items.popitem(last=False)
-        return item
+        return self._items.pop(next(iter(self._items)))
 
     def sample(self, now: float) -> None:
         """Record a time-weighted occupancy sample at time ``now``."""

@@ -28,6 +28,7 @@ from repro.telemetry.events import (
 from repro.telemetry.profile import (
     NULL_PROFILER,
     PHASE_DELIVERY,
+    PHASE_LDT,
     PHASE_MAC,
     PHASE_MOBILITY,
     PHASE_PROTOCOL,
@@ -55,6 +56,7 @@ __all__ = [
     "unknown_event_types",
     "NULL_PROFILER",
     "PHASE_DELIVERY",
+    "PHASE_LDT",
     "PHASE_MAC",
     "PHASE_MOBILITY",
     "PHASE_PROTOCOL",

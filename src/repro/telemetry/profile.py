@@ -1,10 +1,11 @@
 """Opt-in per-task phase profiler for the simulation hot path.
 
 The ROADMAP's vectorization work needs to know *where* a task's wall
-time goes — mobility stepping, UDG/beacon rebuild, MAC contention,
-protocol decisions, delivery bookkeeping — not just the total.  This
-module provides ``perf_counter_ns`` accumulators that the engine
-threads through :class:`~repro.sim.world.World` and its subsystems.
+time goes — mobility stepping, UDG/beacon rebuild, LDTG construction,
+MAC contention, protocol decisions, delivery bookkeeping — not just the
+total.  This module provides ``perf_counter_ns`` accumulators that the
+engine threads through :class:`~repro.sim.world.World` and its
+subsystems.
 
 Two hard requirements shape the design:
 
@@ -37,6 +38,7 @@ PROFILE_ENV = "REPRO_PROFILE_PHASES"
 
 PHASE_MOBILITY = "mobility"
 PHASE_UDG = "udg_rebuild"
+PHASE_LDT = "ldt"
 PHASE_MAC = "mac"
 PHASE_PROTOCOL = "protocol"
 PHASE_DELIVERY = "delivery"
@@ -45,6 +47,7 @@ PHASE_DELIVERY = "delivery"
 PHASES = (
     PHASE_MOBILITY,
     PHASE_UDG,
+    PHASE_LDT,
     PHASE_MAC,
     PHASE_PROTOCOL,
     PHASE_DELIVERY,

@@ -854,6 +854,7 @@ class TestVectorizedEquivalence:
         either engine: the vectorized mobility/UDG phases are timed by
         the same hooks the reference engine uses."""
         from repro.telemetry.profile import (
+            PHASE_LDT,
             PHASE_MOBILITY,
             PHASE_UDG,
             PhaseProfiler,
@@ -869,6 +870,7 @@ class TestVectorizedEquivalence:
         snapshot = profiler.snapshot()
         assert snapshot[PHASE_MOBILITY] > 0.0
         assert snapshot[PHASE_UDG] > 0.0
+        assert snapshot[PHASE_LDT] > 0.0
 
     def test_engine_grid_axis_produces_identical_cells(self, tmp_path):
         """The ``--engines`` sweep axis: both cells of an engine grid

@@ -21,8 +21,10 @@ from repro.telemetry.events import (
 )
 from repro.telemetry.profile import (
     NULL_PROFILER,
+    PHASE_LDT,
     PHASE_MAC,
     PHASE_PROTOCOL,
+    PHASE_UDG,
     PHASES,
     PROFILE_ENV,
     PhaseProfiler,
@@ -363,6 +365,33 @@ class TestPhaseProfiler:
         monkeypatch.setenv(PROFILE_ENV, "1")
         assert profiling_enabled()
         assert isinstance(make_profiler(), PhaseProfiler)
+
+    def test_ldtg_construction_is_charged_to_its_own_phase(self, monkeypatch):
+        """The LDTG build is timed as ``ldt``, not as the UDG rebuild
+        that shares its per-epoch snapshot."""
+        from repro.experiments.runner import run_single
+        from repro.experiments.scenarios import Scenario
+        from repro.sim import neighbors
+
+        build = neighbors.local_delaunay_graph
+        builds = []
+
+        def slow_build(*args, **kwargs):
+            builds.append(1)
+            time.sleep(0.01)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(neighbors, "local_delaunay_graph", slow_build)
+        profiler = PhaseProfiler()
+        scenario = Scenario(
+            n_nodes=10, active_nodes=5, radius=150.0, message_count=2,
+            sim_time=15.0, seed=3,
+        )
+        run_single(scenario, "glr", profiler=profiler)
+        snap = profiler.snapshot()
+        assert builds
+        assert snap[PHASE_LDT] >= 0.01 * len(builds)
+        assert snap[PHASE_UDG] < 0.01 * len(builds)
 
     def test_aggregate_sums_per_cell_and_skips_unprofiled(self):
         records = [

@@ -24,6 +24,29 @@ class TestScheduling:
         sim.run()
         assert fired == ["a", "b", "c"]
 
+    def test_ties_fire_in_schedule_order_among_interleaved_times(self):
+        """Firing order is (time, scheduling order), also for ties
+        scheduled from inside callbacks while the calendar runs."""
+        rng = derive_rng(3, "engine-ties")
+        sim = Simulator()
+        fired = []
+        expected = []
+
+        def schedule(tag, time):
+            expected.append((time, len(expected), tag))
+            sim.schedule_at(time, lambda: fired.append(tag))
+
+        def spawn():
+            for i in range(20):
+                schedule(f"late{i}", sim.now + rng.choice((0.0, 1.0, 2.0)))
+
+        for i in range(100):
+            schedule(f"e{i}", float(rng.randrange(5)))
+        expected.append((2.0, len(expected), "spawn"))
+        sim.schedule_at(2.0, lambda: (fired.append("spawn"), spawn()))
+        sim.run()
+        assert fired == [tag for _, _, tag in sorted(expected)]
+
     def test_relative_schedule(self):
         sim = Simulator()
         times = []
@@ -124,6 +147,35 @@ class TestCancellation:
         sim.schedule_at(2.0, lambda: None)
         first.cancel()
         assert sim.peek_time() == 2.0
+
+    def test_peek_time_skips_cancelled_heads_at_a_tied_time(self):
+        sim = Simulator()
+        fired = []
+        heads = [sim.schedule_at(1.0, lambda: fired.append("x")) for _ in range(3)]
+        sim.schedule_at(1.0, lambda: fired.append("live"))
+        later = sim.schedule_at(4.0, lambda: fired.append("later"))
+        for handle in heads:
+            handle.cancel()
+        assert sim.peek_time() == 1.0
+        assert sim.step()
+        assert fired == ["live"]
+        later.cancel()
+        assert sim.peek_time() is None
+        assert not sim.step()
+
+    def test_pending_events_counts_only_live_events(self):
+        sim = Simulator()
+        handles = [sim.schedule_at(float(t), lambda: None) for t in range(5)]
+        handles[0].cancel()
+        handles[3].cancel()
+        assert sim.pending_events() == 3
+        sim.step()  # fires t=1, skipping the cancelled t=0
+        assert sim.now == 1.0
+        assert sim.pending_events() == 2
+        handles[1].cancel()  # already fired: no effect on the count
+        assert sim.pending_events() == 2
+        sim.run()
+        assert sim.pending_events() == 0
 
     def test_step_returns_false_when_empty(self):
         assert not Simulator().step()

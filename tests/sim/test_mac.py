@@ -98,6 +98,143 @@ class TestMedium:
         assert medium.active_count() == 0
 
 
+class _ListScanMedium:
+    """Oracle: the shared medium as one unordered list, rescanned whole.
+
+    This is the straightforward implementation :class:`Medium` must
+    match answer for answer; it only drops records once they end more
+    than ``Medium._GRACE`` before the current time.
+    """
+
+    def __init__(self, sim, radio):
+        self._sim = sim
+        self._radio = radio
+        self._active = []  # (sender, position, start_time, end_time)
+
+    def _purge(self):
+        horizon = self._sim.now - Medium._GRACE
+        self._active = [t for t in self._active if t[3] > horizon]
+
+    def register(self, sender, position, start_time, end_time):
+        self._purge()
+        self._active.append((sender, position, start_time, end_time))
+
+    def _sensed(self, position, exclude):
+        self._purge()
+        now = self._sim.now
+        return [
+            t
+            for t in self._active
+            if t[2] <= now < t[3]
+            and (exclude is None or t[0] != exclude)
+            and self._radio.in_carrier_sense_range(t[1], position)
+        ]
+
+    def contention_at(self, position, exclude=None):
+        return len(self._sensed(position, exclude))
+
+    def busy_until(self, position, exclude=None):
+        return max([self._sim.now] + [t[3] for t in self._sensed(position, exclude)])
+
+    def interferers_at(self, position, start, end, exclude=None):
+        self._purge()
+        return sum(
+            1
+            for t in self._active
+            if (exclude is None or t[0] != exclude)
+            and t[3] > start
+            and t[2] < end
+            and self._radio.in_carrier_sense_range(t[1], position)
+        )
+
+    def active_count(self):
+        self._purge()
+        now = self._sim.now
+        return sum(1 for t in self._active if t[2] <= now < t[3])
+
+
+class TestMediumMatchesListScan:
+    """Differential test: the end-time-ordered medium against the oracle
+    over seeded random interleavings of registrations, queries and
+    clock advances."""
+
+    SENDERS = tuple(range(12))
+
+    def drive(self, seed, steps=600):
+        rng = derive_rng(seed, "medium-diff")
+        sim = Simulator()
+        radio = RadioConfig(range_m=100.0)
+        medium, oracle = Medium(sim, radio), _ListScanMedium(sim, radio)
+        ends = [0.0]
+        seen = {"future": 0, "tied": 0, "out_of_order": 0, "purged": 0}
+
+        def place():
+            return Point(rng.uniform(0, 600), rng.uniform(0, 300))
+
+        for _ in range(steps):
+            op = rng.random()
+            if op < 0.15:
+                # Mostly short hops; sometimes past the purge horizon,
+                # or exactly onto a recorded end or its purge time.
+                edge = rng.choice(ends) + rng.choice((0.0, Medium._GRACE))
+                sim.now = rng.choice(
+                    [sim.now + step for step in (0.0, 0.001, 0.02, 0.3, 1.2)]
+                    + [max(sim.now, edge)]
+                )
+            elif op < 0.5:
+                start = sim.now + rng.choice((0.0, 0.0, 0.002, 0.01, 0.05))
+                if rng.random() < 0.25:
+                    end = rng.choice(ends)  # tie with an earlier record
+                    start = min(start, end)
+                else:
+                    end = start + rng.choice((0.0002, 0.0085, 0.0085, 0.03))
+                seen["future"] += start > sim.now
+                seen["tied"] += end in ends
+                seen["out_of_order"] += end < max(ends)
+                ends.append(end)
+                args = (rng.choice(self.SENDERS), place(), start, end)
+                medium.register(*args)
+                oracle.register(*args)
+            else:
+                pos = place()
+                exclude = rng.choice((None,) + self.SENDERS)
+                assert medium.contention_at(pos, exclude) == oracle.contention_at(
+                    pos, exclude
+                )
+                assert medium.busy_until(pos, exclude) == oracle.busy_until(
+                    pos, exclude
+                )
+                # Windows that reach before the purge horizon, lie in
+                # the past, straddle now, or lie in the future.
+                start = sim.now + rng.choice((-1.5, -0.5, -0.01, 0.0, 0.01))
+                end = start + rng.choice((0.0, 0.0085, 0.05, 2.0))
+                assert medium.interferers_at(
+                    pos, start, end, exclude
+                ) == oracle.interferers_at(pos, start, end, exclude)
+                assert medium.active_count() == oracle.active_count()
+            seen["purged"] += any(
+                e <= sim.now - Medium._GRACE for e in ends
+            )
+        return seen
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_query_agrees(self, seed):
+        seen = self.drive(seed)
+        # The interleaving exercised every case the ordering must handle.
+        assert all(seen.values()), seen
+
+    def test_busy_until_takes_latest_of_tied_and_unordered_ends(self):
+        sim = Simulator()
+        medium = Medium(sim, RadioConfig(range_m=100.0))
+        for sender, end in (("a", 3.0), ("b", 1.0), ("c", 3.0), ("d", 2.0)):
+            medium.register(sender, Point(0, 0), 0.0, end)
+        assert medium.busy_until(Point(0, 0)) == 3.0
+        assert medium.busy_until(Point(0, 0), exclude="a") == 3.0
+        sim.now = 1.0
+        assert medium.contention_at(Point(0, 0)) == 3  # b ended at 1.0
+        assert medium.active_count() == 3
+
+
 class _StaticPositions:
     """Position oracle for MAC tests: fixed coordinates per node."""
 
