@@ -4,11 +4,9 @@ Unlike the pytest-benchmark drivers (which time the *simulator*), this
 script times the *campaign machinery* end to end on a fixed-seed probe
 sweep and writes a machine-readable ``BENCH_campaign.json``:
 
-- cold wall time and tasks/sec for a streamed, cached campaign run;
+- cold wall time and tasks/sec for a streamed campaign run;
 - stream-resume time (rerun against the finished stream — every task
-  skipped from the stream alone, the primary resume medium);
-- cache-resume time (fresh stream, warm result cache — the opt-in
-  second layer);
+  skipped from the stream alone);
 - orchestrated wall time for the same spec fanned out over shard
   worker subprocesses (supervision + merge overhead included);
 - distributed wall time for the same spec over two simulated hosts
@@ -141,23 +139,12 @@ def run(workers: int, shards: int) -> dict:
     with tempfile.TemporaryDirectory(prefix="bench-campaign-") as tmp:
         workdir = Path(tmp)
         stream = workdir / "cold.jsonl"
-        cache = workdir / "cache"
 
         cold, cold_s = timed(
-            lambda: run_campaign(
-                spec, workers=workers, stream_path=stream, cache_dir=cache
-            )
+            lambda: run_campaign(spec, workers=workers, stream_path=stream)
         )
         stream_resumed, stream_resume_s = timed(
             lambda: run_campaign(spec, workers=workers, stream_path=stream)
-        )
-        cache_resumed, cache_resume_s = timed(
-            lambda: run_campaign(
-                spec,
-                workers=workers,
-                stream_path=workdir / "warm.jsonl",
-                cache_dir=cache,
-            )
         )
         orchestrated, orchestrated_s = timed(
             lambda: orchestrate_campaign(
@@ -225,10 +212,8 @@ def run(workers: int, shards: int) -> dict:
         )
 
         assert stream_resumed.stream_hits == total
-        assert cache_resumed.cache_hits == total
         for other in (
             stream_resumed,
-            cache_resumed,
             orchestrated.result,
             distributed.result,
             profiled,
@@ -253,7 +238,6 @@ def run(workers: int, shards: int) -> dict:
         "cold_wall_s": round(cold_s, 4),
         "tasks_per_s": round(total / cold_s, 3),
         "stream_resume_s": round(stream_resume_s, 4),
-        "cache_resume_s": round(cache_resume_s, 4),
         "orchestrated_wall_s": round(orchestrated_s, 4),
         "distributed_wall_s": round(distributed_s, 4),
         "profiled_wall_s": round(profiled_s, 4),
@@ -291,7 +275,6 @@ def main(argv: list[str] | None = None) -> int:
         f"({report['tasks_per_s']} tasks/s)"
     )
     print(f"  stream resume {report['stream_resume_s']:8.3f} s")
-    print(f"  cache resume  {report['cache_resume_s']:8.3f} s")
     print(
         f"  orchestrated  {report['orchestrated_wall_s']:8.3f} s "
         f"({args.shards} shard workers)"

@@ -44,7 +44,6 @@ METRICS = (
     ("cold_wall_s", "cold wall (s)", True),
     ("tasks_per_s", "cold tasks/s", False),
     ("stream_resume_s", "stream resume (s)", True),
-    ("cache_resume_s", "cache resume (s)", True),
     ("orchestrated_wall_s", "orchestrated wall (s)", True),
     ("distributed_wall_s", "distributed wall (s)", True),
     ("profiled_wall_s", "profiled wall (s)", True),

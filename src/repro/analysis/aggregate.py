@@ -1,7 +1,7 @@
 """Aggregate metrics across replicate simulation runs.
 
 Consumers hand this module *decoded* metrics — whether they came from a
-live simulation, the result cache, or a campaign metrics stream
+live simulation or a campaign metrics stream
 (:mod:`repro.experiments.stream`); aggregation itself is agnostic to
 where runs were executed or stored.
 """

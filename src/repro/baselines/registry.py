@@ -14,7 +14,7 @@ does the same for routing protocols.  A registry entry names:
   exactly once instead of per ``if protocol ==`` branch;
 - which config fields are **not sweepable** through the declarative
   :class:`~repro.experiments.protocols.ProtocolConfig` axis (enum-typed
-  fields that would not canonicalise into cache keys).
+  fields that would not canonicalise into task keys).
 
 Built-in protocols (aliases in parentheses)::
 

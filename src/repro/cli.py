@@ -7,9 +7,8 @@ Subcommands:
   ablation) at bench, spot, or paper effort.
 - ``campaign`` — run a declarative scenario-grid x protocol-config x
   replicate sweep through the parallel campaign engine, with an
-  append-only JSONL metrics stream as the primary resume medium (an
-  on-disk result cache is an opt-in second layer), so interrupted or
-  repeated campaigns resume instead of re-simulating.
+  append-only JSONL metrics stream as the resume medium, so interrupted
+  or repeated campaigns resume instead of re-simulating.
   ``--shard-index/--shard-count`` runs one deterministic slice of a
   campaign (multi-machine sweeps); ``--tasks FILE`` runs the explicit
   task-key list in a scheduler assignment file, re-read between
@@ -32,7 +31,7 @@ Subcommands:
 Examples::
 
     repro run --protocol glr --radius 100 --messages 200 --sim-time 600
-    repro experiment fig4 --effort bench --workers 4
+    repro experiment fig4 --effort bench --workers 4 --stream fig4.jsonl
     repro experiment fig6 --mobility gauss-markov
     repro campaign --radii 50,100 --protocols glr,epidemic \\
         --replicates 3 --workers 4 --stream metrics.jsonl
@@ -54,7 +53,7 @@ Examples::
     repro campaign status RUNDIR
     repro campaign events RUNDIR --type requeue
     repro campaign --radii 50,100 --stream shard0.jsonl \\
-        --shard-index 0 --shard-count 2 --cache-dir CACHE
+        --shard-index 0 --shard-count 2
     repro campaign merge --out merged.jsonl shard0.jsonl shard1.jsonl
     repro campaign aggregate --stream merged.jsonl
     repro report RUNDIR
@@ -78,7 +77,6 @@ from repro.experiments.campaign import (
     CampaignSpec,
     TaskProgress,
     campaign_result_from_stream,
-    merge_caches,
     run_campaign,
 )
 from repro.experiments.layout import RunLayout
@@ -134,13 +132,16 @@ from repro.sim.adversary import (
 
 
 def _fig1_driver(
-    effort: Effort, seed: int, workers: int = 1, cache_dir=None, mobility=None
+    effort: Effort, seed: int, workers: int = 1, stream_path=None,
+    mobility=None,
 ):
     # Figure 1 is a static-topology experiment; effort maps to run count
-    # and there is nothing to parallelise, cache, or move.
+    # and there is nothing to parallelise, resume, or move.
     if mobility is not None:
         raise ValueError("fig1 is a static-topology experiment; --mobility "
                          "does not apply")
+    if stream_path is not None:
+        raise ValueError("fig1 runs no simulations; --stream does not apply")
     return figures.fig1_topology(runs=effort.runs * 5, seed=seed)
 
 
@@ -249,9 +250,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="replicate simulations to run in parallel (default: serial)",
     )
     exp_p.add_argument(
-        "--cache-dir",
+        "--stream",
         default=None,
-        help="on-disk result cache; reruns skip finished simulations",
+        metavar="FILE",
+        help="append per-task metrics to this JSONL stream; rerunning "
+        "with the same arguments skips the tasks it already records",
     )
     exp_p.add_argument(
         "--mobility",
@@ -309,12 +312,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run directory for spec/streams/heartbeats/logs and the "
         "merged stream (default: orchestrated-<name>; rerunning with "
         "the same dir resumes from its shard streams)",
-    )
-    orch_p.add_argument(
-        "--cache-dir",
-        default=None,
-        help="opt-in per-task result cache shared by the shard workers "
-        "(streams already make orchestrated runs resumable)",
     )
     orch_p.add_argument(
         "--scheduler",
@@ -498,23 +495,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     merge_p = camp_sub.add_parser(
         "merge",
-        help="union shard metrics streams (and optionally caches)",
+        help="union shard metrics streams",
     )
     merge_p.add_argument(
         "--out", required=True, help="merged stream to write"
     )
     merge_p.add_argument(
         "streams", nargs="+", help="shard stream files to merge"
-    )
-    merge_p.add_argument(
-        "--caches",
-        default=None,
-        help="comma-separated shard cache dirs to union (with --cache-out)",
-    )
-    merge_p.add_argument(
-        "--cache-out",
-        default=None,
-        help="cache dir the union of --caches is written into",
     )
     agg_p = camp_sub.add_parser(
         "aggregate",
@@ -525,7 +512,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_campaign_shape_args(camp_p)
     camp_p.add_argument("--workers", type=int, default=1)
-    camp_p.add_argument("--cache-dir", default=None)
     camp_p.add_argument(
         "--stream",
         default=None,
@@ -792,7 +778,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         effort=effort,
         seed=args.seed,
         workers=args.workers,
-        cache_dir=args.cache_dir,
+        stream_path=args.stream,
         mobility=args.mobility,
     )
     print(result.render())
@@ -932,7 +918,7 @@ def _campaign_spec_from_args(args: argparse.Namespace) -> CampaignSpec:
         _reject_conflicting_shape_flags(
             args,
             "--spec",
-            "--seed/--replicates/--workers/--cache-dir/--stream/--shard-*",
+            "--seed/--replicates/--workers/--stream/--shard-*",
         )
         spec = CampaignSpec.from_dict(
             json.loads(Path(args.spec).read_text(encoding="utf-8"))
@@ -950,8 +936,7 @@ def _campaign_spec_from_args(args: argparse.Namespace) -> CampaignSpec:
         _reject_conflicting_shape_flags(
             args,
             "--suite",
-            "--seed/--replicates/--effort/--workers/--cache-dir"
-            "/--stream/--shard-*",
+            "--seed/--replicates/--effort/--workers/--stream/--shard-*",
         )
         return build_suite(
             args.suite,
@@ -1023,8 +1008,6 @@ def _campaign_spec_from_args(args: argparse.Namespace) -> CampaignSpec:
 
 
 def _cmd_campaign_merge(args: argparse.Namespace) -> int:
-    if (args.caches is None) != (args.cache_out is None):
-        raise ValueError("--caches and --cache-out must be given together")
     info = merge_streams(args.out, args.streams)
     print(
         f"merged {len(args.streams)} streams -> {args.out}: "
@@ -1038,9 +1021,6 @@ def _cmd_campaign_merge(args: argparse.Namespace) -> int:
             f"the affected shard with its stream to recompute them",
             file=sys.stderr,
         )
-    if args.caches is not None:
-        copied = merge_caches(args.cache_out, _csv(args.caches, str))
-        print(f"cache union -> {args.cache_out}: {copied} entries copied")
     return 0
 
 
@@ -1113,7 +1093,6 @@ def _cmd_campaign_orchestrate(args: argparse.Namespace) -> int:
         shards=args.shards,
         run_dir=run_dir,
         workers_per_shard=args.workers_per_shard,
-        cache_dir=args.cache_dir,
         poll_interval=args.poll_interval,
         stall_timeout=args.stall_timeout,
         max_attempts=args.max_attempts,
@@ -1549,11 +1528,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         beat("task-done")
         if args.quiet:
             return
-        source = event.source or ("cache" if event.cached else "ran")
         print(
             f"[{event.done}/{event.total}] {event.task.scenario.name} "
             f"{event.task.protocol_label} #{event.task.replicate} "
-            f"({source})"
+            f"({event.source})"
         )
 
     def on_wait() -> None:
@@ -1567,7 +1545,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     result = run_campaign(
         spec,
         workers=args.workers,
-        cache_dir=args.cache_dir,
         progress=None if args.quiet and not want_callbacks else progress,
         stream_path=args.stream,
         shard_index=args.shard_index,
@@ -1578,7 +1555,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     )
     print()
     print(result.render())
-    print(result.cache_line())
+    if args.stream:
+        print(result.stream_line())
     return 0
 
 
@@ -1718,8 +1696,6 @@ def main(argv: list[str] | None = None) -> int:
             # aggregate/watch also carry --stream but are read paths.
             if getattr(args, "stream", None):
                 hint = " — rerun with the same --stream to resume"
-            elif getattr(args, "cache_dir", None):
-                hint = " — rerun with the same --cache-dir to resume"
         print(f"\ninterrupted{hint}", file=sys.stderr)
         return 130
     return 1  # pragma: no cover - argparse enforces choices

@@ -82,7 +82,7 @@ def protocols_markdown() -> str:
         "",
         "Per-protocol config dataclasses, with defaults.  Fields marked"
         " *(not sweepable)* cannot be swept through `--protocol-param`"
-        " (non-scalar types that would not canonicalise into cache"
+        " (non-scalar types that would not canonicalise into task"
         " keys); set them in code instead.",
         "",
     ]

@@ -9,11 +9,9 @@ from repro.experiments.campaign import (
     CampaignSpec,
     ReplicateSpec,
     ReplicateTask,
-    ResultCache,
     campaign_result_from_records,
     campaign_result_from_stream,
     campaign_spec_hash,
-    merge_caches,
     run_campaign,
     run_replicate_specs,
 )
@@ -54,7 +52,6 @@ __all__ = [
     "ProtocolConfig",
     "ReplicateSpec",
     "ReplicateTask",
-    "ResultCache",
     "Scenario",
     "StreamError",
     "WorkloadSpec",
@@ -68,7 +65,6 @@ __all__ = [
     "campaign_spec_hash",
     "generate_workload",
     "load_stream",
-    "merge_caches",
     "merge_streams",
     "orchestrate_campaign",
     "run_campaign",

@@ -30,7 +30,7 @@ def ablation_copies(
     radius: float = 50.0,
     seed: int = 1,
     workers: int = 1,
-    cache_dir: str | Path | None = None,
+    stream_path: str | Path | None = None,
     mobility: MobilityConfig | str | None = None,
 ) -> TableResult:
     """Fixed copy counts vs the Algorithm 1 adaptive decision."""
@@ -60,7 +60,7 @@ def ablation_copies(
         )
         for label, config in configs
     ]
-    cells = run_replicate_specs(specs, workers=workers, cache_dir=cache_dir)
+    cells = run_replicate_specs(specs, workers=workers, stream_path=stream_path)
     for (label, _), runs in zip(configs, cells):
         result.rows.append(
             [
@@ -78,7 +78,7 @@ def ablation_spanner(
     radius: float = 100.0,
     seed: int = 1,
     workers: int = 1,
-    cache_dir: str | Path | None = None,
+    stream_path: str | Path | None = None,
     mobility: MobilityConfig | str | None = None,
 ) -> TableResult:
     """LDTG routing graph vs raw unit-disk neighbours."""
@@ -105,7 +105,7 @@ def ablation_spanner(
         )
         for label, use_ldt in variants
     ]
-    cells = run_replicate_specs(specs, workers=workers, cache_dir=cache_dir)
+    cells = run_replicate_specs(specs, workers=workers, stream_path=stream_path)
     for (label, _), runs in zip(variants, cells):
         result.rows.append(
             [
@@ -123,7 +123,7 @@ def ablation_face_routing(
     radius: float = 100.0,
     seed: int = 1,
     workers: int = 1,
-    cache_dir: str | Path | None = None,
+    stream_path: str | Path | None = None,
     mobility: MobilityConfig | str | None = None,
 ) -> TableResult:
     """Face-routing recovery on vs off."""
@@ -150,7 +150,7 @@ def ablation_face_routing(
         )
         for enabled in variants
     ]
-    cells = run_replicate_specs(specs, workers=workers, cache_dir=cache_dir)
+    cells = run_replicate_specs(specs, workers=workers, stream_path=stream_path)
     for enabled, runs in zip(variants, cells):
         result.rows.append(
             [
@@ -169,7 +169,7 @@ def ablation_custody_timeout(
     radius: float = 50.0,
     seed: int = 1,
     workers: int = 1,
-    cache_dir: str | Path | None = None,
+    stream_path: str | Path | None = None,
     mobility: MobilityConfig | str | None = None,
 ) -> TableResult:
     """Sensitivity of delivery to the custody retransmit timeout."""
@@ -195,7 +195,7 @@ def ablation_custody_timeout(
         )
         for timeout in timeouts
     ]
-    cells = run_replicate_specs(specs, workers=workers, cache_dir=cache_dir)
+    cells = run_replicate_specs(specs, workers=workers, stream_path=stream_path)
     for timeout, runs in zip(timeouts, cells):
         result.rows.append(
             [
@@ -212,7 +212,7 @@ def ablation_protocols(
     radius: float = 100.0,
     seed: int = 1,
     workers: int = 1,
-    cache_dir: str | Path | None = None,
+    stream_path: str | Path | None = None,
     mobility: MobilityConfig | str | None = None,
 ) -> TableResult:
     """All implemented protocols side by side in one scenario."""
@@ -250,7 +250,7 @@ def ablation_protocols(
         )
         for protocol in protocols
     ]
-    cells = run_replicate_specs(specs, workers=workers, cache_dir=cache_dir)
+    cells = run_replicate_specs(specs, workers=workers, stream_path=stream_path)
     for protocol, runs in zip(protocols, cells):
         result.rows.append(
             [

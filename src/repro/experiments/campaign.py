@@ -12,12 +12,12 @@ that grid.  This module is the one place that executes such grids:
 - :func:`execute_tasks` fans tasks out over a
   :class:`~concurrent.futures.ProcessPoolExecutor` (``workers > 1``) or
   runs them inline (``workers == 1``, the reference behaviour).
-- :class:`ResultCache` is a content-addressed on-disk JSON store keyed
-  by the code-relevant task parameters (scenario fields minus the
-  display name, protocol + protocol config, seed, cache format
-  version), so an interrupted campaign resumes where it stopped and
-  repeated benches skip finished work.  Corrupt or partial entries are
-  detected and recomputed, never silently loaded.
+- :func:`task_key` addresses each task by content hash of its
+  code-relevant parameters (scenario fields minus the display name,
+  protocol + protocol config, seed, :data:`CACHE_FORMAT`); the metrics
+  stream (:mod:`repro.experiments.stream`) records results under that
+  key, so an interrupted campaign or driver run resumes where it
+  stopped.
 - :class:`CampaignSpec` is the declarative top layer: a base scenario,
   a field grid, a protocol axis
   (:class:`~repro.experiments.protocols.ProtocolConfig` values —
@@ -87,13 +87,11 @@ __all__ = [
     "CampaignSpec",
     "ReplicateSpec",
     "ReplicateTask",
-    "ResultCache",
     "TaskProgress",
     "campaign_result_from_records",
     "campaign_result_from_stream",
     "campaign_spec_hash",
     "execute_tasks",
-    "merge_caches",
     "merge_streams",
     "run_campaign",
     "run_replicate_specs",
@@ -101,19 +99,14 @@ __all__ = [
     "task_payload",
 ]
 
-#: Bump whenever simulation semantics change in a way that invalidates
-#: previously cached metrics (it is part of every cache key).
-#: 2: Scenario grew the ``mobility`` field (cache keys now cover the
-#:    movement model configuration).
+#: Versions task identity: it is part of every :func:`task_key` and
+#: :func:`campaign_spec_hash`, so bumping it re-keys every task and
+#: separates old streams from new ones.  Bump whenever simulation
+#: semantics change in a way that invalidates recorded metrics.
+#: 2: Scenario grew the ``mobility`` field.
 #: 3: tasks grew the ``protocol_config`` axis, and trace mobility keys
-#:    switched from the path string to the file's content hash.  v2
-#:    entries for tasks unaffected by either change (no protocol
-#:    config, no trace mobility) are migrated on read — see
-#:    :meth:`ResultCache.load`.
+#:    switched from the path string to the file's content hash.
 CACHE_FORMAT = 3
-
-#: The previous format, still readable via the migration path.
-_LEGACY_CACHE_FORMAT = 2
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +175,7 @@ class ReplicateSpec:
                 )
             if not self.protocol_config.params:
                 # A paramless config IS the bare protocol; normalising
-                # to None keeps the cache key and stream identity
+                # to None keeps the task key and stream identity
                 # identical whichever way the spec was written.
                 object.__setattr__(self, "protocol_config", None)
 
@@ -206,7 +199,7 @@ class ReplicateSpec:
 
 
 # ---------------------------------------------------------------------------
-# Content-addressed cache
+# Task identity
 # ---------------------------------------------------------------------------
 
 def _canonical(value: object) -> object:
@@ -227,94 +220,67 @@ def _canonical(value: object) -> object:
         return [_canonical(v) for v in value]
     if value is None or isinstance(value, (str, int, float, bool)):
         return value
-    raise TypeError(f"cannot canonicalise {type(value).__name__} for cache key")
+    raise TypeError(f"cannot canonicalise {type(value).__name__} for task key")
 
 
 def _is_trace_mobility(scenario: Scenario) -> bool:
     return scenario.mobility is not None and scenario.mobility.model == "trace"
 
 
-def _canonical_scenario(task: ReplicateTask, content_hash: bool) -> dict:
-    """The scenario part of a cache key payload.
+def _canonical_scenario(scenario: Scenario, trace_content: bool) -> dict:
+    """The scenario part of a task's identity.
 
-    With ``content_hash`` (the v3 behaviour), trace mobility is keyed
-    on the trace *file content* instead of its path string: editing a
-    trace in place invalidates cached simulations, while renaming or
-    copying an identical file still hits.
+    Trace mobility is keyed on the trace *file content* instead of its
+    path string: editing a trace in place changes the identity, while
+    renaming or copying an identical file keeps it.  Without
+    ``trace_content`` the trace file is left out altogether.
     """
-    scenario = _canonical(task.scenario)
-    scenario.pop("name", None)
+    doc = _canonical(scenario)
+    doc.pop("name", None)
     # Engines are bit-identical, so an unset engine (= whatever
     # REPRO_ENGINE picks at run time) keys exactly like it did before
-    # the field existed — pre-existing caches stay valid, and results
-    # computed under either env default are interchangeable.  An
-    # *explicit* engine stays in the key: pinning it is a deliberate
-    # part of the task's identity (e.g. an --engines cross-check grid
-    # must not collapse to one cell).
-    if scenario.get("engine") is None:
-        scenario.pop("engine", None)
-    # No adversary keys exactly like the field never existed, so
-    # pre-axis caches stay valid — and since a zero fraction coerces to
-    # None at scenario construction, "no adversary" has exactly one key
-    # however it was spelled.
-    if scenario.get("adversary") is None:
-        scenario.pop("adversary", None)
-    if content_hash and _is_trace_mobility(task.scenario):
-        params = dict(scenario["mobility"]["params"])
+    # the field existed, and results computed under either env default
+    # are interchangeable.  An *explicit* engine stays in the key:
+    # pinning it is a deliberate part of the task's identity (e.g. an
+    # --engines cross-check grid must not collapse to one cell).
+    if doc.get("engine") is None:
+        doc.pop("engine", None)
+    # No adversary keys exactly like the field never existed — and
+    # since a zero fraction coerces to None at scenario construction,
+    # "no adversary" has exactly one key however it was spelled.
+    if doc.get("adversary") is None:
+        doc.pop("adversary", None)
+    if _is_trace_mobility(scenario):
+        params = dict(doc["mobility"]["params"])
         path = params.pop("path", None)
-        if path is not None:
+        if path is not None and trace_content:
             params["content_sha256"] = trace_file_digest(path)
-        scenario["mobility"]["params"] = sorted(
-            [k, v] for k, v in params.items()
-        )
-    return scenario
+        doc["mobility"]["params"] = sorted([k, v] for k, v in params.items())
+    return doc
+
+
+def _identity(
+    item: ReplicateTask | ReplicateSpec, trace_content: bool = True
+) -> dict:
+    """The code-relevant fields tasks and specs share."""
+    return {
+        "scenario": _canonical_scenario(item.scenario, trace_content),
+        "protocol": item.protocol,
+        "glr_config": _canonical(item.glr_config),
+        "epidemic_config": _canonical(item.epidemic_config),
+        "spray_config": _canonical(item.spray_config),
+        "buffer_limit": item.buffer_limit,
+        "protocol_config": _canonical(item.protocol_config),
+    }
 
 
 def task_payload(task: ReplicateTask) -> dict:
-    """The code-relevant parameters a task's cache key is built from.
+    """The code-relevant parameters a task's key is built from.
 
     The scenario's display ``name`` is excluded so renaming a sweep
-    does not invalidate its cached simulations.
+    does not change its tasks' identities.
     """
-    return {
-        "format": CACHE_FORMAT,
-        "scenario": _canonical_scenario(task, content_hash=True),
-        "protocol": task.protocol,
-        "glr_config": _canonical(task.glr_config),
-        "epidemic_config": _canonical(task.epidemic_config),
-        "spray_config": _canonical(task.spray_config),
-        "buffer_limit": task.buffer_limit,
-        "protocol_config": _canonical(task.protocol_config),
-    }
-
-
-def legacy_task_payload(task: ReplicateTask) -> dict | None:
-    """The v2 (``CACHE_FORMAT == 2``) payload of a task, if one exists.
-
-    Only tasks untouched by the v3 key changes have a legacy identity:
-    no protocol config, and no trace mobility (v2 keyed traces on the
-    path string, which says nothing about the file's content — those
-    entries are untrustworthy by construction and are never migrated).
-    """
-    if task.protocol_config is not None:
-        return None
-    if _is_trace_mobility(task.scenario):
-        return None
-    if task.scenario.engine is not None:
-        # Explicit engine pins postdate v2 keys; nothing to migrate.
-        return None
-    if task.scenario.adversary is not None:
-        # Adversary injection postdates v2 keys too.
-        return None
-    return {
-        "format": _LEGACY_CACHE_FORMAT,
-        "scenario": _canonical_scenario(task, content_hash=False),
-        "protocol": task.protocol,
-        "glr_config": _canonical(task.glr_config),
-        "epidemic_config": _canonical(task.epidemic_config),
-        "spray_config": _canonical(task.spray_config),
-        "buffer_limit": task.buffer_limit,
-    }
+    return {"format": CACHE_FORMAT, **_identity(task)}
 
 
 def _payload_key(payload: dict) -> str:
@@ -323,125 +289,8 @@ def _payload_key(payload: dict) -> str:
 
 
 def task_key(task: ReplicateTask) -> str:
-    """Content hash addressing one task's cached metrics."""
+    """Content hash addressing one task's recorded metrics."""
     return _payload_key(task_payload(task))
-
-
-def legacy_task_key(task: ReplicateTask) -> str | None:
-    """The v2-era content hash of a task, or ``None`` (no v2 identity)."""
-    payload = legacy_task_payload(task)
-    return _payload_key(payload) if payload is not None else None
-
-
-def _decode_metrics(
-    payload: object,
-    task: ReplicateTask,
-    expected_format: int = CACHE_FORMAT,
-) -> SimulationMetrics | None:
-    """Rebuild metrics from a cache payload; ``None`` if anything is off."""
-    if not isinstance(payload, dict):
-        return None
-    if payload.get("format") != expected_format:
-        return None
-    try:
-        metrics = SimulationMetrics.from_json(payload.get("metrics"))
-    except ValueError:
-        return None
-    if metrics.protocol != task.protocol:
-        return None
-    return metrics
-
-
-class ResultCache:
-    """On-disk JSON store of per-task metrics, addressed by content hash.
-
-    Layout: ``<root>/<key[:2]>/<key>.json`` where ``key`` is
-    :func:`task_key`.  Each file holds the format version, the full key
-    payload (for human inspection), and the serialised metrics.  Writes
-    are atomic (temp file + rename) so a killed campaign never leaves a
-    half-written entry that a resume would trust; loads validate the
-    payload and fall back to recomputation on any mismatch.
-    """
-
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
-        # Key derivation is a full canonical JSON dump + sha256 (plus
-        # a stat for trace mobility); load+store on a miss would pay
-        # it twice per task without this memo.
-        self._key_memo: dict[ReplicateTask, str] = {}
-
-    def _key(self, task: ReplicateTask) -> str:
-        if _is_trace_mobility(task.scenario):
-            # Trace keys hash the trace *file*, which can change under
-            # a long-lived cache; memoising would pin the stale key and
-            # defeat the content-hash invalidation.
-            return task_key(task)
-        key = self._key_memo.get(task)
-        if key is None:
-            key = task_key(task)
-            self._key_memo[task] = key
-        return key
-
-    def path_for(self, key: str) -> Path:
-        """Where the entry for ``key`` lives (existing or not)."""
-        return self.root / key[:2] / f"{key}.json"
-
-    def _read(self, key: str) -> object | None:
-        try:
-            return json.loads(
-                self.path_for(key).read_text(encoding="utf-8")
-            )
-        except (OSError, ValueError, UnicodeDecodeError):
-            return None
-
-    def load(self, task: ReplicateTask) -> SimulationMetrics | None:
-        """Cached metrics for ``task``, or ``None`` (counted as a miss).
-
-        Falls back to the task's v2-era key when the v3 entry is
-        missing (read-path migration): a valid legacy entry is
-        re-stored under the current key so the next lookup is a direct
-        hit, and old caches keep their value across the format bump.
-        """
-        metrics = _decode_metrics(self._read(self._key(task)), task)
-        if metrics is None:
-            legacy_key = legacy_task_key(task)
-            if legacy_key is not None:
-                metrics = _decode_metrics(
-                    self._read(legacy_key),
-                    task,
-                    expected_format=_LEGACY_CACHE_FORMAT,
-                )
-                if metrics is not None:
-                    self.store(task, metrics)
-        if metrics is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return metrics
-
-    def store(self, task: ReplicateTask, metrics: SimulationMetrics) -> None:
-        """Atomically persist ``metrics`` under ``task``'s key."""
-        path = self.path_for(self._key(task))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "format": CACHE_FORMAT,
-            "key": task_payload(task),
-            # The same canonical serialisation the load path validates
-            # with from_json (and the metrics stream writes).
-            "metrics": metrics.to_json(),
-        }
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(
-            json.dumps(payload, sort_keys=True, indent=1), encoding="utf-8"
-        )
-        os.replace(tmp, path)
-
-    @property
-    def lookups(self) -> int:
-        """Total load attempts so far."""
-        return self.hits + self.misses
 
 
 # ---------------------------------------------------------------------------
@@ -456,22 +305,22 @@ class TaskProgress:
     total: int
     task: ReplicateTask
     cached: bool
-    #: Where the result came from: ``"ran"``, ``"cache"``, or
-    #: ``"stream"`` (already recorded in a metrics stream and skipped).
+    #: Where the result came from: ``"ran"``, or ``"stream"`` (already
+    #: recorded in a metrics stream and skipped).
     source: str = ""
 
 
 ProgressCallback = Callable[[TaskProgress], None]
 
-#: ``record(index, task, metrics, cached, wall_time_s, phase_profile)``
-#: — called once per finished task (the metrics-stream hook); ``index``
-#: is the task's position in the list handed to :func:`execute_tasks`,
-#: so callers can correlate results with precomputed per-task state
-#: (cache keys) without relying on object identity.  ``phase_profile``
-#: is the per-phase seconds dict when ``REPRO_PROFILE_PHASES`` is set,
-#: else ``None`` (cache hits are always ``None`` — nothing ran).
+#: ``record(index, task, metrics, wall_time_s, phase_profile)`` — called
+#: once per finished task (the metrics-stream hook); ``index`` is the
+#: task's position in the list handed to :func:`execute_tasks`, so
+#: callers can correlate results with precomputed per-task state (task
+#: keys) without relying on object identity.  ``phase_profile`` is the
+#: per-phase seconds dict when ``REPRO_PROFILE_PHASES`` is set, else
+#: ``None``.
 RecordCallback = Callable[
-    [int, ReplicateTask, SimulationMetrics, bool, float, "dict | None"],
+    [int, ReplicateTask, SimulationMetrics, float, "dict | None"],
     None,
 ]
 
@@ -480,9 +329,9 @@ def _run_task(task: ReplicateTask, profiler=None) -> SimulationMetrics:
     """Simulate one task (module-level so it pickles into worker procs).
 
     Task fields keep the historical per-protocol config slots (they are
-    part of the persisted cache-key schema); they are translated onto
-    the unified ``protocol_config`` path here, quietly — stored tasks
-    are not deprecated API use.
+    part of the task-key schema); they are translated onto the unified
+    ``protocol_config`` path here, quietly — recorded tasks are not
+    deprecated API use.
     """
     config = resolve_run_config(
         task.protocol,
@@ -540,98 +389,192 @@ def _run_task_timed(
 def execute_tasks(
     tasks: Sequence[ReplicateTask],
     workers: int = 1,
-    cache: ResultCache | None = None,
     progress: ProgressCallback | None = None,
     record: RecordCallback | None = None,
 ) -> list[SimulationMetrics]:
-    """Run every task, in input order, using cache and process pool.
+    """Run every task, in input order, inline or in a process pool.
 
     Each task is an independent simulation with a pre-derived seed, so
     the result list is identical whatever ``workers`` is; parallelism
     only changes wall-clock time.  ``record`` (if given) is called once
     per finished task with its metrics and wall time, in completion
-    order — the hook the campaign metrics stream appends through.
+    order — the hook the metrics stream appends through.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     results: list[SimulationMetrics | None] = [None] * len(tasks)
     done = 0
 
-    def tick(index: int, cached: bool) -> None:
+    def finish(index: int, outcome: tuple) -> None:
         nonlocal done
+        metrics, wall, profile = outcome
+        results[index] = metrics
+        if record is not None:
+            record(index, tasks[index], metrics, wall, profile)
         done += 1
         if progress is not None:
             progress(
                 TaskProgress(
-                    done,
-                    len(tasks),
-                    tasks[index],
-                    cached,
-                    source="cache" if cached else "ran",
+                    done, len(tasks), tasks[index], cached=False, source="ran"
                 )
             )
 
-    def finish(index: int, metrics: SimulationMetrics,
-               cached: bool, wall: float,
-               profile: dict | None = None) -> None:
-        results[index] = metrics
-        if record is not None:
-            record(index, tasks[index], metrics, cached, wall, profile)
-        tick(index, cached=cached)
-
-    pending: list[int] = []
-    for i, task in enumerate(tasks):
-        metrics = cache.load(task) if cache is not None else None
-        if metrics is not None:
-            finish(i, metrics, cached=True, wall=0.0)
-        else:
-            pending.append(i)
-
-    if pending and workers > 1 and len(pending) > 1:
-        pool_size = min(workers, len(pending))
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             futures = {
-                pool.submit(_run_task_timed, tasks[i]): i for i in pending
+                pool.submit(_run_task_timed, task): i
+                for i, task in enumerate(tasks)
             }
             for future in as_completed(futures):
-                i = futures[future]
-                metrics, wall, profile = future.result()
-                if cache is not None:
-                    cache.store(tasks[i], metrics)
-                finish(i, metrics, cached=False, wall=wall, profile=profile)
+                finish(futures[future], future.result())
     else:
-        for i in pending:
-            metrics, wall, profile = _run_task_timed(tasks[i])
-            if cache is not None:
-                cache.store(tasks[i], metrics)
-            finish(i, metrics, cached=False, wall=wall, profile=profile)
+        for i, task in enumerate(tasks):
+            finish(i, _run_task_timed(task))
 
     return [r for r in results if r is not None]
+
+
+def _append_task(
+    stream_path: str | Path,
+    key: str,
+    task: ReplicateTask,
+    metrics: SimulationMetrics,
+    wall: float,
+    profile: dict | None,
+) -> None:
+    """Append one finished task's record to a metrics stream."""
+    append_record(
+        stream_path,
+        make_task_record(
+            key=key,
+            scenario=task.scenario.name,
+            protocol=task.protocol_label,
+            replicate=task.replicate,
+            seed=task.scenario.seed,
+            metrics_json=metrics.to_json(),
+            cached=False,
+            wall_time_s=wall,
+            phase_profile=profile,
+        ),
+    )
+
+
+def _run_resumable(
+    entries: Sequence[tuple[ReplicateTask, str]],
+    workers: int,
+    progress: ProgressCallback | None,
+    stream_path: str | Path | None,
+    spec_hash: str,
+    spec_doc: dict,
+) -> tuple[list[SimulationMetrics], int]:
+    """Run ``(task, key)`` entries, resuming from a metrics stream.
+
+    The one resume path behind :func:`run_campaign` and
+    :func:`run_replicate_specs`.  With ``stream_path``, the stream is
+    opened (created with a ``spec_hash``/``spec_doc`` header, or
+    validated against ``spec_hash`` and repaired), entries whose key it
+    already records are skipped, every finished task is appended, and
+    the metrics are rebuilt *from the stream* — the stream is the
+    source of truth, not in-memory state.  Without one, every entry
+    runs.  Returns the metrics in entry order and the number of entries
+    the stream already held.
+    """
+    recorded: set[str] = set()
+    if stream_path is not None:
+        recorded = init_stream(stream_path, spec_hash, spec_doc).keys()
+    total = len(entries)
+    pending: list[tuple[ReplicateTask, str]] = []
+    stream_hits = 0
+    for task, key in entries:
+        if key not in recorded:
+            pending.append((task, key))
+            continue
+        stream_hits += 1
+        if progress is not None:
+            progress(
+                TaskProgress(
+                    stream_hits, total, task, cached=True, source="stream"
+                )
+            )
+
+    def shifted_progress(event: TaskProgress) -> None:
+        progress(
+            dataclasses.replace(
+                event, done=event.done + stream_hits, total=total
+            )
+        )
+
+    def record(index: int, task: ReplicateTask, metrics: SimulationMetrics,
+               wall: float, profile: dict | None) -> None:
+        # pending is what execute_tasks runs, in order, so the callback
+        # index addresses its precomputed key.
+        _append_task(stream_path, pending[index][1], task, metrics, wall,
+                     profile)
+
+    executed = execute_tasks(
+        [task for task, _ in pending],
+        workers=workers,
+        progress=shifted_progress if progress is not None else None,
+        record=record if stream_path is not None else None,
+    )
+    if stream_path is None:
+        return executed, 0
+    # Reload the stream so the result is exactly what a later reader
+    # would see.  No repair here — our own records are fsync'd and
+    # complete, and deleting someone else's in-flight line is the
+    # resume path's call, not ours.
+    info = load_stream(stream_path, spec_hash, quarantine=False)
+    by_key = {r["key"]: r for r in info.records}
+    return [
+        SimulationMetrics.from_json(by_key[key]["metrics"])
+        for _, key in entries
+    ], stream_hits
 
 
 def run_replicate_specs(
     specs: Sequence[ReplicateSpec],
     workers: int = 1,
-    cache_dir: str | Path | None = None,
-    cache: ResultCache | None = None,
     progress: ProgressCallback | None = None,
+    stream_path: str | Path | None = None,
 ) -> list[list[SimulationMetrics]]:
     """Execute a batch of grid cells; one metrics list per input spec.
 
     All cells' tasks are flattened into one pool so parallelism spans
     the whole sweep rather than one cell at a time.  This is the entry
     the figure/table/ablation drivers route their replicate loops
-    through.
+    through.  With ``stream_path``, the batch streams and resumes like
+    a campaign: rerunning the same specs skips every recorded task, and
+    a stream written for different specs raises
+    :class:`~repro.experiments.stream.StreamError`.  The stream header
+    lists the cells in task-identity form without display names or
+    trace files: a trace is identified by content in the task keys
+    alone, so an edited trace reruns its tasks into the same stream,
+    while a renamed or copied identical one resumes.
     """
-    if cache is None and cache_dir is not None:
-        cache = ResultCache(cache_dir)
     tasks: list[ReplicateTask] = []
     bounds: list[tuple[int, int]] = []
     for spec in specs:
         start = len(tasks)
         tasks.extend(spec.tasks())
         bounds.append((start, len(tasks)))
-    flat = execute_tasks(tasks, workers=workers, cache=cache, progress=progress)
+    spec_doc = {
+        "replicate_specs": [
+            {**_identity(spec, trace_content=False), "runs": spec.runs}
+            for spec in specs
+        ]
+    }
+    keys = (
+        [task_key(task) for task in tasks] if stream_path is not None
+        else [""] * len(tasks)
+    )
+    flat, _ = _run_resumable(
+        list(zip(tasks, keys)),
+        workers,
+        progress,
+        stream_path,
+        _payload_key({"format": CACHE_FORMAT, "spec": spec_doc}),
+        spec_doc,
+    )
     return [flat[start:stop] for start, stop in bounds]
 
 
@@ -642,7 +585,7 @@ def run_replicate_specs(
 _SCENARIO_FIELDS = frozenset(f.name for f in dataclasses.fields(Scenario))
 
 #: Grid axes whose values are coerced into config objects at spec
-#: build time (so caches key on the resolved configuration, and
+#: build time (so task keys cover the resolved configuration, and
 #: equivalent spellings dedupe).
 _AXIS_COERCERS: dict[str, Callable] = {
     "mobility": as_mobility_config,
@@ -663,7 +606,7 @@ class CampaignSpec:
     A ``mobility`` axis sweeps movement models: its values may be model
     names (``"gauss-markov"``), mappings, or
     :class:`~repro.mobility.registry.MobilityConfig` objects — all are
-    coerced on construction so the cache keys on the resolved config.
+    coerced on construction so task keys cover the resolved config.
 
     ``protocols`` is likewise an axis of *protocol variants*: names
     (``"glr"``), mappings, or
@@ -856,6 +799,11 @@ class CampaignSpec:
         """
         from repro.mobility.base import Region
 
+        if "replicate_specs" in data:
+            raise ValueError(
+                "this is an experiment driver's cell list (a `repro "
+                "experiment --stream` header), not a campaign spec"
+            )
         base_overrides = dict(data.get("base", {}))
         unknown = set(base_overrides) - _SCENARIO_FIELDS
         if unknown:
@@ -882,13 +830,10 @@ class CampaignSpec:
 
 @dataclass
 class CampaignResult:
-    """Executed campaign: per-cell replicate metrics plus cache stats."""
+    """Executed campaign: per-cell replicate metrics plus resume stats."""
 
     spec: CampaignSpec
     metrics: dict[tuple[str, str], list[SimulationMetrics]]
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_enabled: bool = False
     #: Tasks skipped because a metrics stream already recorded them.
     stream_hits: int = 0
     #: Undecodable stream lines skipped when this result was rebuilt
@@ -900,21 +845,9 @@ class CampaignResult:
         """90% CI summary per (scenario name, protocol) cell."""
         return summarize_cells(self.metrics)
 
-    def cache_line(self) -> str:
-        """Human-readable cache statistics for progress output."""
-        stream = (
-            f"; stream: {self.stream_hits} tasks resumed"
-            if self.stream_hits
-            else ""
-        )
-        if not self.cache_enabled:
-            return f"cache: disabled{stream}"
-        total = self.cache_hits + self.cache_misses
-        rate = 100.0 * self.cache_hits / total if total else 0.0
-        return (
-            f"cache: {self.cache_hits} hits, {self.cache_misses} misses "
-            f"({rate:.1f}% hit rate){stream}"
-        )
+    def stream_line(self) -> str:
+        """Human-readable stream-resume statistics for progress output."""
+        return f"stream: {self.stream_hits} tasks resumed"
 
     def render(self) -> str:
         """Paper-style summary table of every campaign cell.
@@ -959,14 +892,9 @@ def campaign_spec_hash(spec: CampaignSpec) -> str:
     hashes match; :func:`~repro.experiments.stream.merge_streams`
     refuses anything else.  The hash covers the full declarative spec
     plus :data:`CACHE_FORMAT`, so a simulator-semantics bump separates
-    streams the same way it separates caches.
+    streams the same way it re-keys tasks.
     """
-    blob = json.dumps(
-        {"format": CACHE_FORMAT, "spec": spec.to_dict()},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return _payload_key({"format": CACHE_FORMAT, "spec": spec.to_dict()})
 
 
 #: One expanded campaign leaf: (cell label, task, content key).  The
@@ -1004,7 +932,6 @@ def _select_shard(
 def run_campaign(
     spec: CampaignSpec,
     workers: int = 1,
-    cache_dir: str | Path | None = None,
     progress: ProgressCallback | None = None,
     stream_path: str | Path | None = None,
     shard_index: int | None = None,
@@ -1020,16 +947,13 @@ def run_campaign(
     to the campaign's metrics stream, tasks already recorded there are
     skipped entirely (stream resume), and the returned result is built
     *from the stream* — the stream is the source of truth, not
-    in-memory state.  The stream is the campaign's primary resume
-    medium: a killed run relaunched with the same ``stream_path`` runs
-    only the tasks its stream does not hold yet, no result cache
-    required.  ``cache_dir`` is an opt-in *second* layer whose value is
-    cross-campaign reuse — per-task entries keyed by content survive
-    spec renames and feed other sweeps that share tasks — not
-    within-campaign resume.  With ``shard_index``/``shard_count``, only
-    this shard's deterministic subset of tasks runs (partitioned by
-    content key via :func:`repro.seeding.stable_shard`); shard streams
-    are merged with :func:`~repro.experiments.stream.merge_streams` and
+    in-memory state.  The stream is the campaign's resume medium: a
+    killed run relaunched with the same ``stream_path`` runs only the
+    tasks its stream does not hold yet.  With
+    ``shard_index``/``shard_count``, only this shard's deterministic
+    subset of tasks runs (partitioned by content key via
+    :func:`repro.seeding.stable_shard`); shard streams are merged with
+    :func:`~repro.experiments.stream.merge_streams` and
     aggregated with :func:`campaign_result_from_stream`.
     :func:`repro.experiments.orchestrator.orchestrate_campaign` wraps
     the whole fan-out (launch shards, supervise, merge) in one call.
@@ -1057,7 +981,6 @@ def run_campaign(
         spec: the validated campaign (grid x protocols x replicates).
         workers: process-pool size for replicate simulations (1 =
             in-process serial execution).
-        cache_dir: opt-in cross-campaign per-task result cache.
         progress: callback invoked per finished task.
         stream_path: JSONL metrics stream to append to and resume from.
         shard_index / shard_count: run only this hash-partitioned
@@ -1072,8 +995,8 @@ def run_campaign(
 
     Returns:
         The aggregated :class:`CampaignResult`.  With ``stream_path``
-        it is rebuilt from the stream (the source of truth), so cached,
-        resumed, and freshly-run tasks are indistinguishable in it.
+        it is rebuilt from the stream (the source of truth), so resumed
+        and freshly-run tasks are indistinguishable in it.
 
     Raises:
         ValueError: conflicting arguments (``tasks_file`` with shard
@@ -1100,16 +1023,13 @@ def run_campaign(
             tasks_file=tasks_file,
             stream_path=stream_path,
             workers=workers,
-            cache_dir=cache_dir,
             progress=progress,
             wait_interval=wait_interval,
             wait_timeout=wait_timeout,
             on_wait=on_wait,
         )
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
     # Entry keys feed shard selection and the stream (resume map,
-    # records, rebuild); when neither is in play, skip the derivation
-    # entirely (the cache memoises its own).
+    # records, rebuild); when neither is in play, skip the derivation.
     need_keys = stream_path is not None or shard_count is not None
     entries: list[_CampaignEntry] = []
     for label, cell_spec in spec.cell_specs():
@@ -1118,97 +1038,18 @@ def run_campaign(
             for task in cell_spec.tasks()
         )
     entries = _select_shard(entries, shard_index, shard_count)
-
-    recorded: dict[str, dict] = {}
-    record: RecordCallback | None = None
-    if stream_path is not None:
-        spec_hash = campaign_spec_hash(spec)
-        info = init_stream(stream_path, spec_hash, spec.to_dict())
-        recorded = {r["key"]: r for r in info.records}
-
-        def record(index: int, task: ReplicateTask,
-                   metrics: SimulationMetrics,
-                   cached: bool, wall: float,
-                   profile: dict | None = None) -> None:
-            append_record(
-                stream_path,
-                make_task_record(
-                    # pending is what execute_tasks runs, in order, so
-                    # the callback index addresses its precomputed key.
-                    key=pending[index][2],
-                    scenario=task.scenario.name,
-                    protocol=task.protocol_label,
-                    replicate=task.replicate,
-                    seed=task.scenario.seed,
-                    metrics_json=metrics.to_json(),
-                    cached=cached,
-                    wall_time_s=wall,
-                    phase_profile=profile,
-                ),
-            )
-
-    pending: list[_CampaignEntry] = []
-    stream_hits = 0
-    done = 0
-    total = len(entries)
-    for label, task, key in entries:
-        if recorded and key in recorded:
-            stream_hits += 1
-            done += 1
-            if progress is not None:
-                progress(
-                    TaskProgress(
-                        done, total, task, cached=True, source="stream"
-                    )
-                )
-        else:
-            pending.append((label, task, key))
-
-    def shifted_progress(event: TaskProgress) -> None:
-        if progress is not None:
-            progress(
-                dataclasses.replace(
-                    event, done=event.done + stream_hits, total=total
-                )
-            )
-
-    executed = execute_tasks(
-        [task for _, task, _ in pending],
-        workers=workers,
-        cache=cache,
-        progress=shifted_progress if progress is not None else None,
-        record=record,
+    runs, stream_hits = _run_resumable(
+        [(task, key) for _, task, key in entries],
+        workers,
+        progress,
+        stream_path,
+        campaign_spec_hash(spec),
+        spec.to_dict(),
     )
-
     metrics: dict[tuple[str, str], list[SimulationMetrics]] = {}
-    if stream_path is not None:
-        # Aggregation consumes the stream: reload it so the result is
-        # exactly what a later `campaign aggregate` would see.  No
-        # repair here — our own records are fsync'd and complete, and
-        # deleting someone else's in-flight line is the resume path's
-        # call, not ours.
-        info = load_stream(
-            stream_path, campaign_spec_hash(spec), quarantine=False
-        )
-        by_key = {r["key"]: r for r in info.records}
-        for label, _, key in entries:
-            metrics.setdefault(label, []).append(
-                SimulationMetrics.from_json(by_key[key]["metrics"])
-            )
-    else:
-        # execute_tasks preserves input order, so results line up with
-        # the pending entries one-to-one.
-        for (label, _, _), run_metrics in zip(pending, executed):
-            metrics.setdefault(label, []).append(run_metrics)
-
-    return CampaignResult(
-        spec=spec,
-        metrics=metrics,
-        cache_hits=cache.hits if cache is not None else 0,
-        cache_misses=cache.misses if cache is not None else 0,
-        cache_enabled=cache is not None,
-        stream_hits=stream_hits,
-    )
+    for (label, _, _), run_metrics in zip(entries, runs):
+        metrics.setdefault(label, []).append(run_metrics)
+    return CampaignResult(spec=spec, metrics=metrics, stream_hits=stream_hits)
 
 
 def _run_tasks_campaign(
@@ -1216,7 +1057,6 @@ def _run_tasks_campaign(
     tasks_file: str | Path,
     stream_path: str | Path,
     workers: int,
-    cache_dir: str | Path | None,
     progress: ProgressCallback | None,
     wait_interval: float,
     wait_timeout: float | None,
@@ -1233,7 +1073,6 @@ def _run_tasks_campaign(
         raise ValueError("wait_interval must be positive")
     if wait_timeout is not None and wait_timeout <= 0:
         raise ValueError("wait_timeout must be positive (or None)")
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
     spec_hash = campaign_spec_hash(spec)
     entries: list[_CampaignEntry] = []
     for label, cell_spec in spec.cell_specs():
@@ -1322,23 +1161,10 @@ def _run_tasks_campaign(
         done_before = len(counted)
 
         def record(index: int, task: ReplicateTask,
-                   metrics: SimulationMetrics,
-                   cached: bool, wall: float,
-                   profile: dict | None = None) -> None:
-            append_record(
-                stream_path,
-                make_task_record(
-                    key=batch[index],
-                    scenario=task.scenario.name,
-                    protocol=task.protocol_label,
-                    replicate=task.replicate,
-                    seed=task.scenario.seed,
-                    metrics_json=metrics.to_json(),
-                    cached=cached,
-                    wall_time_s=wall,
-                    phase_profile=profile,
-                ),
-            )
+                   metrics: SimulationMetrics, wall: float,
+                   profile: dict | None) -> None:
+            _append_task(stream_path, batch[index], task, metrics, wall,
+                         profile)
 
         def batch_progress(event: TaskProgress) -> None:
             if progress is not None:
@@ -1351,7 +1177,6 @@ def _run_tasks_campaign(
         execute_tasks(
             batch_tasks,
             workers=workers,
-            cache=cache,
             progress=batch_progress if progress is not None else None,
             record=record,
         )
@@ -1370,14 +1195,7 @@ def _run_tasks_campaign(
             metrics.setdefault(label, []).append(
                 SimulationMetrics.from_json(record_doc["metrics"])
             )
-    return CampaignResult(
-        spec=spec,
-        metrics=metrics,
-        cache_hits=cache.hits if cache is not None else 0,
-        cache_misses=cache.misses if cache is not None else 0,
-        cache_enabled=cache is not None,
-        stream_hits=stream_hits,
-    )
+    return CampaignResult(spec=spec, metrics=metrics, stream_hits=stream_hits)
 
 
 def campaign_result_from_records(
@@ -1466,30 +1284,3 @@ def campaign_result_from_stream(
         stream_damaged=info.quarantined,
         source=f"stream {stream_path}",
     )
-
-
-def merge_caches(
-    out_dir: str | Path, in_dirs: Sequence[str | Path]
-) -> int:
-    """Union shard result caches into ``out_dir``; returns entries copied.
-
-    Entries are content-addressed, so a union is just copying files the
-    target does not have yet; existing entries win (they are identical
-    by construction when keys collide).
-    """
-    copied = 0
-    out_root = Path(out_dir)
-    for in_dir in in_dirs:
-        root = Path(in_dir)
-        if not root.is_dir():
-            raise ValueError(f"cache dir {root} does not exist")
-        for entry in sorted(root.glob("*/*.json")):
-            target = out_root / entry.parent.name / entry.name
-            if target.exists():
-                continue
-            target.parent.mkdir(parents=True, exist_ok=True)
-            tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
-            tmp.write_bytes(entry.read_bytes())
-            os.replace(tmp, target)
-            copied += 1
-    return copied

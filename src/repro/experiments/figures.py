@@ -123,7 +123,7 @@ def fig3_check_interval(
     radius: float = 100.0,
     seed: int = 1,
     workers: int = 1,
-    cache_dir: str | Path | None = None,
+    stream_path: str | Path | None = None,
     mobility: MobilityConfig | str | None = None,
 ) -> SeriesResult:
     """Figure 3: GLR delivery latency under different check intervals.
@@ -157,7 +157,8 @@ def fig3_check_interval(
     ]
     latencies = []
     control = []
-    for runs in run_replicate_specs(specs, workers=workers, cache_dir=cache_dir):
+    cells = run_replicate_specs(specs, workers=workers, stream_path=stream_path)
+    for runs in cells:
         latencies.append(ci_of(runs, "average_latency"))
         control.append(ci_of(runs, "frames_sent"))
     result.xs = list(intervals)
@@ -179,7 +180,7 @@ def _latency_vs_load(
     effort: Effort,
     seed: int,
     workers: int = 1,
-    cache_dir: str | Path | None = None,
+    stream_path: str | Path | None = None,
     mobility: MobilityConfig | str | None = None,
 ) -> SeriesResult:
     result = SeriesResult(
@@ -206,7 +207,7 @@ def _latency_vs_load(
                     scenario=scenario, protocol=protocol, runs=effort.runs
                 )
             )
-    cells = run_replicate_specs(specs, workers=workers, cache_dir=cache_dir)
+    cells = run_replicate_specs(specs, workers=workers, stream_path=stream_path)
     glr_series = []
     epidemic_series = []
     for glr_runs, epidemic_runs in zip(cells[0::2], cells[1::2]):
@@ -225,12 +226,12 @@ def fig4_latency_vs_load(
     effort: Effort = BENCH_EFFORT,
     seed: int = 1,
     workers: int = 1,
-    cache_dir: str | Path | None = None,
+    stream_path: str | Path | None = None,
     mobility: MobilityConfig | str | None = None,
 ) -> SeriesResult:
     """Figure 4: latency vs number of messages, 50 m radius."""
     return _latency_vs_load(
-        "fig4", 50.0, loads, effort, seed, workers, cache_dir, mobility
+        "fig4", 50.0, loads, effort, seed, workers, stream_path, mobility
     )
 
 
@@ -239,12 +240,12 @@ def fig5_latency_vs_load(
     effort: Effort = BENCH_EFFORT,
     seed: int = 1,
     workers: int = 1,
-    cache_dir: str | Path | None = None,
+    stream_path: str | Path | None = None,
     mobility: MobilityConfig | str | None = None,
 ) -> SeriesResult:
     """Figure 5: latency vs number of messages, 100 m radius."""
     return _latency_vs_load(
-        "fig5", 100.0, loads, effort, seed, workers, cache_dir, mobility
+        "fig5", 100.0, loads, effort, seed, workers, stream_path, mobility
     )
 
 
@@ -257,7 +258,7 @@ def fig6_latency_vs_radius(
     effort: Effort = BENCH_EFFORT,
     seed: int = 1,
     workers: int = 1,
-    cache_dir: str | Path | None = None,
+    stream_path: str | Path | None = None,
     mobility: MobilityConfig | str | None = None,
 ) -> SeriesResult:
     """Figure 6: latency vs transmission radius, fixed message count.
@@ -287,7 +288,7 @@ def fig6_latency_vs_radius(
         for radius in radii
         for protocol in ("glr", "epidemic")
     ]
-    cells = run_replicate_specs(specs, workers=workers, cache_dir=cache_dir)
+    cells = run_replicate_specs(specs, workers=workers, stream_path=stream_path)
     glr_series = []
     epidemic_series = []
     for glr_runs, epidemic_runs in zip(cells[0::2], cells[1::2]):
@@ -311,7 +312,7 @@ def fig7_delivery_vs_storage(
     radius: float = 50.0,
     seed: int = 1,
     workers: int = 1,
-    cache_dir: str | Path | None = None,
+    stream_path: str | Path | None = None,
     mobility: MobilityConfig | str | None = None,
 ) -> SeriesResult:
     """Figure 7: delivery ratio under per-node storage limits (50 m).
@@ -343,7 +344,7 @@ def fig7_delivery_vs_storage(
         for limit in limits
         for protocol in ("glr", "epidemic")
     ]
-    cells = run_replicate_specs(specs, workers=workers, cache_dir=cache_dir)
+    cells = run_replicate_specs(specs, workers=workers, stream_path=stream_path)
     glr_series = []
     epidemic_series = []
     for glr_runs, epidemic_runs in zip(cells[0::2], cells[1::2]):

@@ -289,7 +289,6 @@ def _worker_command(
     status: ShardStatus,
     shard_count: int,
     workers_per_shard: int,
-    cache_dir: str | Path | None,
     tasks_file: Path | None = None,
 ) -> list[str]:
     """The shard-worker subprocess command.
@@ -315,7 +314,7 @@ def _worker_command(
             "--shard-count",
             str(shard_count),
         ]
-    command += [
+    return command + [
         "--stream",
         str(status.stream),
         "--heartbeat",
@@ -329,28 +328,22 @@ def _worker_command(
         str(workers_per_shard),
         "--quiet",
     ]
-    if cache_dir is not None:
-        command += ["--cache-dir", str(cache_dir)]
-    return command
 
 
 def _host_worker_command(
     transport: Transport,
     index: int,
     workers_per_shard: int,
-    cache_dir: str | Path | None,
 ) -> list[str]:
     """The worker command for a transport-backed slot.
 
     Same protocol as the local stealing command, but every path is the
     *remote* layout — the same artifact names resolved under the
     transport's root — and the interpreter is whatever invokes the
-    ``repro`` CLI on that host.  ``cache_dir`` is interpreted on the
-    worker's host (a per-host cache, which is the only kind that makes
-    sense without a shared filesystem).
+    ``repro`` CLI on that host.
     """
     remote = RunLayout(transport.root)
-    command = [
+    return [
         *transport.command_head(),
         "campaign",
         "--spec",
@@ -367,9 +360,6 @@ def _host_worker_command(
         str(workers_per_shard),
         "--quiet",
     ]
-    if cache_dir is not None:
-        command += ["--cache-dir", str(cache_dir)]
-    return command
 
 
 def _local_launch(
@@ -472,7 +462,6 @@ def orchestrate_campaign(
     shards: int | None = None,
     run_dir: str | Path | None = None,
     workers_per_shard: int = 1,
-    cache_dir: str | Path | None = None,
     poll_interval: float = 0.3,
     stall_timeout: float = 600.0,
     max_attempts: int = 3,
@@ -496,8 +485,7 @@ def orchestrate_campaign(
     merged stream (``campaign.jsonl``).  Re-running with the same
     ``run_dir`` resumes: each relaunched worker skips the tasks its
     shard stream already records, so a killed orchestrator costs at
-    most the tasks that were in flight.  Streams are the resume
-    medium; pass ``cache_dir`` only for cross-campaign task reuse.
+    most the tasks that were in flight.
 
     A worker that dies (any nonzero exit) or stalls (no heartbeat
     touch for ``stall_timeout`` seconds — workers touch per finished
@@ -552,7 +540,6 @@ def orchestrate_campaign(
             ``hosts``).
         run_dir: run directory (default: ``orchestrated-<name>``).
         workers_per_shard: process-pool size inside each worker.
-        cache_dir: opt-in cross-campaign task cache shared by workers.
         poll_interval / stall_timeout / max_attempts / max_concurrent:
             supervision knobs (see above).
         on_event: callback for supervision events (launch, requeue,
@@ -714,7 +701,6 @@ def orchestrate_campaign(
             keys=keys,
             shards=shards,
             workers_per_shard=workers_per_shard,
-            cache_dir=cache_dir,
             poll_interval=poll_interval,
             stall_timeout=stall_timeout,
             max_attempts=max_attempts,
@@ -772,7 +758,7 @@ def orchestrate_campaign(
         status.heartbeat.touch()
         process, handle = _spawn_worker(
             _worker_command(
-                spec_file, status, shards, workers_per_shard, cache_dir
+                spec_file, status, shards, workers_per_shard
             ),
             status.log,
             status.attempts,
@@ -1070,7 +1056,6 @@ def _orchestrate_stealing(
     keys: list[str],
     shards: int,
     workers_per_shard: int,
-    cache_dir: str | Path | None,
     poll_interval: float,
     stall_timeout: float,
     max_attempts: int,
@@ -1328,13 +1313,13 @@ def _orchestrate_stealing(
         status.heartbeat.touch()
         if hosts_mode:
             command = _host_worker_command(
-                transport, status.index, workers_per_shard, cache_dir
+                transport, status.index, workers_per_shard
             )
             env = _worker_env() if transport.runs_locally else None
             launcher = transport.launch
         else:
             command = _worker_command(
-                spec_file, status, shards, workers_per_shard, cache_dir,
+                spec_file, status, shards, workers_per_shard,
                 tasks_file=board.path(status.index),
             )
             env = _worker_environment(

@@ -6,7 +6,7 @@ the same for *protocol configurations*.  A :class:`ProtocolConfig` is a
 pure value — protocol name plus scalar parameters, hashable and
 JSON-friendly — so campaign grids can enumerate protocol variants
 (hello/check intervals, custody on/off, copy budgets, queue policies)
-and the result cache can key on the resolved configuration.
+and task keys cover the resolved configuration.
 
 Validation happens at coercion time: parameter names are checked
 against the protocol's config dataclass and parameter values run
@@ -28,7 +28,7 @@ Sweepable parameters per protocol::
 
 Enum-typed fields (``glr``'s ``location_mode``, the receipt mode) are
 *not* sweepable: config params are restricted to scalars so configs
-stay hashable and canonicalise cleanly into cache keys.  Sweep those
+stay hashable and canonicalise cleanly into task keys.  Sweep those
 through the Python API with a concrete config object instead.
 
 Which protocols exist, their config dataclasses, and their
@@ -92,7 +92,7 @@ class ProtocolConfig:
 
     ``params`` is stored as a sorted tuple of ``(name, value)`` pairs so
     equal configs hash equal regardless of construction order, and the
-    campaign cache key (which canonicalises dataclasses field-by-field)
+    campaign task key (which canonicalises dataclasses field-by-field)
     is stable.  Use :meth:`of` for keyword construction.
     """
 
@@ -107,11 +107,11 @@ class ProtocolConfig:
         )
         # Shared rules with MobilityConfig (repro.params): string
         # names, scalar values, integral floats collapsed to ints so
-        # numerically equal configs canonicalise to one cache key.
+        # numerically equal configs canonicalise to one task key.
         items = canonicalise_params(dict(self.params))
         # Python treats True == 1, so configs that compare (and hash)
         # equal must not JSON-encode differently ("custody": true vs 1
-        # would split cache keys, labels, and spec hashes).  Normalise
+        # would split task keys, labels, and spec hashes).  Normalise
         # through the config dataclass's declared field types: 0/1 for
         # a bool field becomes the bool (anything else — 2, 0.5, "no",
         # which GLRConfig would silently treat as truthy — is

@@ -19,6 +19,7 @@ as deprecation shims that collapse onto the same path, bit-identically
 from __future__ import annotations
 
 import warnings
+from pathlib import Path
 
 from repro.baselines.registry import available_protocols as _available_protocols
 from repro.baselines.registry import protocol_factory, resolve_protocol
@@ -230,21 +231,22 @@ def run_replicates(
     spray_config: SprayAndWaitConfig | None = None,
     buffer_limit: int | None = None,
     workers: int = 1,
-    cache_dir: str | None = None,
+    stream_path: str | Path | None = None,
 ) -> list[SimulationMetrics]:
     """Replicate ``scenario`` over ``runs`` seeds (paper: 10 topologies).
 
     Replicate seeds come from :func:`repro.seeding.replicate_seed`
     (``scenario.seed + 1000 * i``) so populations are disjoint but
     reproducible.  The default serial in-process loop is the reference
-    behaviour; ``workers > 1`` and/or ``cache_dir`` route the same
-    seeded tasks through the campaign engine
+    behaviour; ``workers > 1`` and/or ``stream_path`` (a resumable
+    metrics stream) route the same seeded tasks through the campaign
+    engine
     (:mod:`repro.experiments.campaign`), which returns bit-identical
     metrics because every task's seed is derived before dispatch.
     """
     if runs < 1:
         raise ValueError("need at least one run")
-    if workers == 1 and cache_dir is None:
+    if workers == 1 and stream_path is None:
         canonical = resolve_protocol(protocol)
         config = resolve_run_config(
             canonical, None, glr_config, epidemic_config, spray_config
@@ -271,5 +273,5 @@ def run_replicates(
         buffer_limit=buffer_limit,
     )
     return run_replicate_specs(
-        [spec], workers=workers, cache_dir=cache_dir
+        [spec], workers=workers, stream_path=stream_path
     )[0]

@@ -54,7 +54,7 @@ class Scenario:
             like ``"blackhole:0.2"`` and mappings are coerced).
             ``None`` — the default — is the honest world; a zero
             fraction coerces to ``None`` so "no adversary" has exactly
-            one spelling in cache keys and spec hashes.  Which nodes
+            one spelling in task keys and spec hashes.  Which nodes
             are compromised derives from the scenario seed, so all
             execution strategies select the same set.
     """

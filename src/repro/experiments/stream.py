@@ -105,6 +105,9 @@ def make_task_record(
 ) -> dict:
     """One task's stream record.
 
+    ``cached`` is provenance kept for format compatibility: new records
+    carry ``False``, while streams written by earlier versions mark
+    results that were served from a per-task result cache.
     ``phase_profile`` (per-phase seconds from the opt-in telemetry
     profiler) is provenance, like ``wall_time_s``/``cached``: it rides
     beside the metrics payload, never inside it, so profiler-on streams
@@ -414,8 +417,7 @@ def union_records(infos: Sequence[StreamInfo]) -> list[dict]:
     duplicate keys collapse to one record, but records that *disagree*
     about a task's metrics raise :class:`StreamError` rather than pick
     a winner.  Duplicates that agree on metrics may still differ in
-    provenance (``wall_time_s``, ``cached`` — one shard simulated the
-    task, another cache-resumed it); the lexicographically smallest
+    provenance (``wall_time_s``, ``cached``); the lexicographically smallest
     encoded record wins, so the output is invariant to input order.
     Records come back sorted by (scenario, protocol, replicate, key).
     """

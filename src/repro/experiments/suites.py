@@ -8,12 +8,12 @@ mobility axis (and whatever else characterises the workload class) so
 one command compares GLR against the baselines across movement
 patterns::
 
-    repro campaign --suite cross-mobility --workers 8 --cache-dir CACHE
+    repro campaign --suite cross-mobility --workers 8 --stream suite.jsonl
 
 Suites are effort-scaled: pass an
 :class:`~repro.experiments.common.Effort` to trade fidelity for
 wall-clock (the CLI maps ``--effort bench|spot|paper``).  Every suite
-is deterministic in its seed and caches like any other campaign.
+is deterministic in its seed and resumes like any other campaign.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def _suite_mobility_x_protocol(
 
     The trade-off surface DTN evaluations must cover: the same protocol
     under different configurations, under contrasting movement
-    patterns, in one cached sweep.
+    patterns, in one sweep.
     """
     return CampaignSpec(
         name="mobility-x-protocol",

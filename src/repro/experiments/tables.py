@@ -45,7 +45,7 @@ def table2_location(
     radius: float = 100.0,
     seed: int = 1,
     workers: int = 1,
-    cache_dir: str | Path | None = None,
+    stream_path: str | Path | None = None,
     mobility: MobilityConfig | str | None = None,
 ) -> TableResult:
     """Table 2: delivery under four destination-knowledge situations.
@@ -95,7 +95,7 @@ def table2_location(
         )
         for _, _, copies, mode in situations
     ]
-    cells = run_replicate_specs(specs, workers=workers, cache_dir=cache_dir)
+    cells = run_replicate_specs(specs, workers=workers, stream_path=stream_path)
     for (copies_label, knowledge, _, _), runs in zip(situations, cells):
         result.rows.append(
             [
@@ -119,7 +119,7 @@ def table3_custody(
     radius: float = 50.0,
     seed: int = 1,
     workers: int = 1,
-    cache_dir: str | Path | None = None,
+    stream_path: str | Path | None = None,
     mobility: MobilityConfig | str | None = None,
 ) -> TableResult:
     """Table 3: delivery ratio with vs without custody transfer (50 m).
@@ -151,7 +151,7 @@ def table3_custody(
         )
         for custody in custody_values
     ]
-    cells = run_replicate_specs(specs, workers=workers, cache_dir=cache_dir)
+    cells = run_replicate_specs(specs, workers=workers, stream_path=stream_path)
     for custody, runs in zip(custody_values, cells):
         result.rows.append(
             [
@@ -173,7 +173,7 @@ def table4_storage_vs_load(
     radius: float = 50.0,
     seed: int = 1,
     workers: int = 1,
-    cache_dir: str | Path | None = None,
+    stream_path: str | Path | None = None,
     mobility: MobilityConfig | str | None = None,
 ) -> TableResult:
     """Table 4: GLR peak storage vs number of messages (50 m, 3 copies).
@@ -203,7 +203,7 @@ def table4_storage_vs_load(
         )
         for load in loads
     ]
-    cells = run_replicate_specs(specs, workers=workers, cache_dir=cache_dir)
+    cells = run_replicate_specs(specs, workers=workers, stream_path=stream_path)
     for load, runs in zip(loads, cells):
         result.rows.append(
             [
@@ -224,7 +224,7 @@ def table5_storage_vs_radius(
     effort: Effort = BENCH_EFFORT,
     seed: int = 1,
     workers: int = 1,
-    cache_dir: str | Path | None = None,
+    stream_path: str | Path | None = None,
     mobility: MobilityConfig | str | None = None,
 ) -> TableResult:
     """Table 5: GLR peak storage vs radius (paper: 1980 messages).
@@ -254,7 +254,7 @@ def table5_storage_vs_radius(
         )
         for radius in radii
     ]
-    cells = run_replicate_specs(specs, workers=workers, cache_dir=cache_dir)
+    cells = run_replicate_specs(specs, workers=workers, stream_path=stream_path)
     for radius, runs in zip(radii, cells):
         result.rows.append(
             [
@@ -275,7 +275,7 @@ def table6_hops(
     effort: Effort = BENCH_EFFORT,
     seed: int = 1,
     workers: int = 1,
-    cache_dir: str | Path | None = None,
+    stream_path: str | Path | None = None,
     mobility: MobilityConfig | str | None = None,
 ) -> TableResult:
     """Table 6: average hop count, GLR vs epidemic, across radii.
@@ -306,7 +306,7 @@ def table6_hops(
         for radius in radii
         for protocol in ("glr", "epidemic")
     ]
-    cells = run_replicate_specs(specs, workers=workers, cache_dir=cache_dir)
+    cells = run_replicate_specs(specs, workers=workers, stream_path=stream_path)
     for radius, glr_runs, epidemic_runs in zip(
         radii, cells[0::2], cells[1::2]
     ):

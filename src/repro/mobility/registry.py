@@ -3,7 +3,7 @@
 The registry decouples *describing* a movement pattern from
 *constructing* it.  A :class:`MobilityConfig` is a pure value — model
 name plus scalar parameters, hashable and JSON-friendly — so scenarios
-can carry it, the campaign cache can key on it, and sweep grids can
+can carry it, campaign task keys can cover it, and sweep grids can
 enumerate it.  :func:`build_mobility` turns a config into a live
 :class:`~repro.mobility.base.MobilityModel` for a concrete node
 population, region, and seed.
@@ -52,7 +52,7 @@ class MobilityConfig:
 
     ``params`` is stored as a sorted tuple of ``(name, value)`` pairs so
     equal configs hash equal regardless of construction order, and the
-    campaign cache key (which canonicalises dataclasses field-by-field)
+    campaign task key (which canonicalises dataclasses field-by-field)
     is stable.  Use :meth:`of` for keyword construction.
     """
 
@@ -65,7 +65,7 @@ class MobilityConfig:
         object.__setattr__(self, "model", _normalize(self.model))
         # Shared rules with ProtocolConfig (repro.params): string
         # names, scalar values, integral floats collapsed to ints so
-        # numerically equal configs canonicalise to one cache key.
+        # numerically equal configs canonicalise to one task key.
         items = canonicalise_params(dict(self.params))
         object.__setattr__(self, "params", tuple(sorted(items.items())))
 
@@ -266,11 +266,11 @@ def _build_trace(
     """Replay an ns-2 scenario file, restricted to the scenario's nodes.
 
     The file may describe more nodes than the scenario uses (the extra
-    trajectories are dropped) but must cover every scenario node.  The
-    campaign cache keys on the file's *content hash*
+    trajectories are dropped) but must cover every scenario node.  Campaign
+    task keys cover the file's *content hash*
     (:func:`repro.mobility.traces.trace_file_digest`), so editing a
-    trace in place invalidates cached simulations and renaming or
-    copying an identical file still hits.
+    trace in place re-keys its simulations and renaming or copying an
+    identical file keeps their keys.
     """
     if not path:
         raise ValueError("trace mobility needs a 'path' parameter")

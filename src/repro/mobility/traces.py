@@ -155,10 +155,10 @@ def _digest_for_stat(path: str, size: int, mtime_ns: int) -> str:
 def trace_file_digest(path: str | Path) -> str:
     """SHA-256 of a trace file's *content* (hex).
 
-    The campaign cache keys trace-driven scenarios on this digest
-    rather than the path string, so editing a trace in place
-    invalidates its cached simulations while renaming or copying an
-    identical file still hits.  Digests are memoised per
+    Campaign task keys cover trace-driven scenarios by this digest
+    rather than the path string, so editing a trace in place re-keys
+    its simulations while renaming or copying an identical file keeps
+    their keys.  Digests are memoised per
     ``(path, size, mtime)`` so a sweep with thousands of tasks sharing
     one trace hashes it once.
     """

@@ -2,7 +2,7 @@
 
 :class:`~repro.mobility.registry.MobilityConfig` and
 :class:`~repro.experiments.protocols.ProtocolConfig` are both "name
-plus scalar params" values whose canonical form feeds campaign cache
+plus scalar params" values whose canonical form feeds campaign task
 keys, cell labels, and spec hashes.  They must canonicalise by the
 same rules — a divergence would make numerically equal configs key
 differently depending on which axis they sit on — so the shared rules
@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Mapping
 
 #: Parameter values a declarative config may carry: scalars only, so
-#: configs stay hashable and canonicalise cleanly into cache keys.
+#: configs stay hashable and canonicalise cleanly into task keys.
 ParamValue = bool | int | float | str
 
 

@@ -7,8 +7,8 @@ axis:
 
 - :class:`AdversaryConfig` is a pure value — mode name, compromised
   fraction, scalar parameters — hashable and JSON-friendly, so
-  scenarios carry it, campaign grids sweep it, and the result cache
-  keys on it.
+  scenarios carry it, campaign grids sweep it, and task keys
+  cover it.
 - **Node selection is seed-derived** (:func:`adversary_node_set`,
   via :func:`repro.seeding.derive_rng`): which nodes are compromised is
   a pure function of the scenario seed, so parallel, sharded, and
@@ -59,10 +59,10 @@ class AdversaryConfig:
 
     ``params`` is stored as a sorted tuple of ``(name, value)`` pairs so
     equal configs hash equal regardless of construction order, and the
-    campaign cache key (which canonicalises dataclasses field-by-field)
+    campaign task key (which canonicalises dataclasses field-by-field)
     is stable.  ``fraction`` must be in ``(0, 1]`` — a zero fraction is
     *no adversary* and coerces to ``None`` (see
-    :func:`as_adversary_config`), keeping its cache keys identical to
+    :func:`as_adversary_config`), keeping its task keys identical to
     runs that never had the axis.
     """
 
@@ -83,7 +83,7 @@ class AdversaryConfig:
                 f"adversary fraction must be in (0, 1], got {self.fraction}"
             )
         # Integral floats collapse to ints (shared canonicalisation
-        # rule): 1 and 1.0 must produce one cache key, not two.
+        # rule): 1 and 1.0 must produce one task key, not two.
         fraction = float(self.fraction)
         object.__setattr__(
             self,
@@ -216,7 +216,7 @@ def as_adversary_config(
     and ``fraction`` keys (parameters inline or under ``"params"``), or
     an existing config.  A fraction of zero — however spelled — returns
     ``None``: zero compromised nodes *is* the honest run, and must key
-    identically in the cache and the campaign spec hash.
+    identically in task keys and the campaign spec hash.
     """
     if value is None:
         return None

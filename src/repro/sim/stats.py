@@ -56,8 +56,8 @@ class SimulationMetrics:
 
         Round-trips exactly: Python's JSON encoder emits ``repr``-exact
         floats, so ``from_json(json.loads(json.dumps(m.to_json())))``
-        equals ``m`` bit-for-bit — the property the campaign cache and
-        the JSONL metrics stream both rely on.
+        equals ``m`` bit-for-bit — the property the JSONL metrics
+        stream relies on.
         """
         return dataclasses.asdict(self)
 
@@ -66,7 +66,7 @@ class SimulationMetrics:
         """Rebuild metrics from :meth:`to_json` output, strictly.
 
         Raises :class:`ValueError` when fields are missing, extra, or
-        of the wrong shape, so cache/stream consumers never silently
+        of the wrong shape, so stream consumers never silently
         trust a truncated or tampered payload.
         """
         field_names = {f.name for f in dataclasses.fields(cls)}

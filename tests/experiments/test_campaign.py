@@ -1,4 +1,4 @@
-"""Tests for the campaign engine: specs, cache, parallel determinism."""
+"""Tests for the campaign engine: specs, stream resume, parallel determinism."""
 
 from __future__ import annotations
 
@@ -8,12 +8,12 @@ import json
 import pytest
 
 from repro.core.protocol import GLRConfig
+from repro.experiments import campaign as campaign_mod
 from repro.experiments.campaign import (
     CACHE_FORMAT,
     CampaignSpec,
     ReplicateSpec,
     ReplicateTask,
-    ResultCache,
     execute_tasks,
     run_campaign,
     run_replicate_specs,
@@ -22,6 +22,7 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.runner import run_replicates
 from repro.experiments.scenarios import Scenario
+from repro.experiments.stream import StreamError
 from repro.mobility.registry import MobilityConfig
 from repro.sim.adversary import AdversaryConfig
 
@@ -40,6 +41,15 @@ TINY = Scenario(
 def metrics_fingerprint(metrics):
     """Everything observable about a run, for exact comparisons."""
     return dataclasses.asdict(metrics)
+
+
+def forbid_simulation(monkeypatch):
+    """Make any simulation fail: what runs next must come from a stream."""
+
+    def no_simulation(task):
+        raise AssertionError(f"resume simulated {task}")
+
+    monkeypatch.setattr(campaign_mod, "_run_task_timed", no_simulation)
 
 
 class TestTaskKey:
@@ -112,94 +122,111 @@ class TestReplicateSpec:
             ReplicateSpec(scenario=TINY, protocol="glr", runs=0)
 
 
-class TestCache:
-    def _one_task(self):
-        return ReplicateSpec(scenario=TINY, protocol="glr", runs=1).tasks()[0]
+class TestDriverStream:
+    """``run_replicate_specs(stream_path=...)`` resumes like a campaign."""
 
-    def test_round_trip(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        task = self._one_task()
-        [metrics] = execute_tasks([task], cache=cache)
-        assert cache.misses == 1 and cache.hits == 0
-        loaded = cache.load(task)
-        assert loaded == metrics
-        assert cache.hits == 1
+    def _specs(self):
+        return [
+            ReplicateSpec(scenario=TINY, protocol="glr", runs=2),
+            ReplicateSpec(
+                scenario=TINY.but(radius=100.0), protocol="epidemic", runs=1
+            ),
+        ]
 
-    def test_cached_entry_is_actually_used(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        task = self._one_task()
-        execute_tasks([task], cache=cache)
-        # Tamper with a stored metric: if the second execution returns
-        # the sentinel, it came from the cache, not a re-simulation.
-        path = cache.path_for(task_key(task))
-        payload = json.loads(path.read_text())
-        payload["metrics"]["events_processed"] = 987654321
-        path.write_text(json.dumps(payload))
-        [resumed] = execute_tasks([task], cache=cache)
+    def _fingerprints(self, cells):
+        return [[metrics_fingerprint(m) for m in runs] for runs in cells]
+
+    def test_rerun_simulates_nothing_and_returns_identical_metrics(
+        self, tmp_path, monkeypatch
+    ):
+        stream = tmp_path / "driver.jsonl"
+        cold = run_replicate_specs(self._specs(), stream_path=stream)
+        assert self._fingerprints(cold) == self._fingerprints(
+            run_replicate_specs(self._specs())
+        )
+        forbid_simulation(monkeypatch)
+        events = []
+        warm = run_replicate_specs(
+            self._specs(), stream_path=stream, progress=events.append
+        )
+        assert [e.source for e in events] == ["stream"] * 3
+        assert [e.done for e in events] == [1, 2, 3]
+        assert self._fingerprints(warm) == self._fingerprints(cold)
+
+    def test_different_specs_against_the_same_stream_raise(self, tmp_path):
+        stream = tmp_path / "driver.jsonl"
+        run_replicate_specs(self._specs(), stream_path=stream)
+        more_runs = [dataclasses.replace(self._specs()[0], runs=3)]
+        with pytest.raises(StreamError, match="refusing to mix"):
+            run_replicate_specs(more_runs, stream_path=stream)
+        campaign = CampaignSpec(name="tiny", base=TINY, replicates=2)
+        with pytest.raises(StreamError, match="refusing to mix"):
+            run_campaign(campaign, stream_path=stream)
+
+    def test_renamed_scenarios_resume(self, tmp_path, monkeypatch):
+        # Display names are not task identity, so they are not stream
+        # identity either.
+        stream = tmp_path / "driver.jsonl"
+        run_replicate_specs(self._specs(), stream_path=stream)
+        renamed = [
+            dataclasses.replace(spec, scenario=spec.scenario.but(name="x"))
+            for spec in self._specs()
+        ]
+        forbid_simulation(monkeypatch)
+        run_replicate_specs(renamed, stream_path=stream)
+
+    def test_recorded_metrics_are_what_resume_returns(self, tmp_path):
+        # Tamper with a recorded metric: if the rerun returns the
+        # sentinel, it came from the stream, not a re-simulation.
+        stream = tmp_path / "driver.jsonl"
+        spec = ReplicateSpec(scenario=TINY, protocol="glr", runs=1)
+        run_replicate_specs([spec], stream_path=stream)
+        header, record = map(json.loads, stream.read_text().splitlines())
+        record["metrics"]["events_processed"] = 987654321
+        stream.write_text(
+            "".join(json.dumps(line) + "\n" for line in (header, record))
+        )
+        [[resumed]] = run_replicate_specs([spec], stream_path=stream)
         assert resumed.events_processed == 987654321
 
-    def test_corrupt_json_recomputed(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        task = self._one_task()
-        [metrics] = execute_tasks([task], cache=cache)
-        path = cache.path_for(task_key(task))
-        path.write_text("{ not json !!!")
-        [recomputed] = execute_tasks([task], cache=cache)
-        assert recomputed == metrics
-        # ... and the corrupt entry was repaired in place.
-        assert cache.load(task) == metrics
-
-    def test_partial_entry_recomputed(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        task = self._one_task()
-        [metrics] = execute_tasks([task], cache=cache)
-        path = cache.path_for(task_key(task))
-        payload = json.loads(path.read_text())
-        del payload["metrics"]["delivery_ratio"]
-        path.write_text(json.dumps(payload))
-        assert cache.load(task) is None
-        [recomputed] = execute_tasks([task], cache=cache)
-        assert recomputed == metrics
-
-    def test_extra_field_rejected(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        task = self._one_task()
-        execute_tasks([task], cache=cache)
-        path = cache.path_for(task_key(task))
-        payload = json.loads(path.read_text())
-        payload["metrics"]["bogus_field"] = 1
-        path.write_text(json.dumps(payload))
-        assert cache.load(task) is None
-
-    def test_format_version_mismatch_rejected(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        task = self._one_task()
-        execute_tasks([task], cache=cache)
-        path = cache.path_for(task_key(task))
-        payload = json.loads(path.read_text())
-        payload["format"] = CACHE_FORMAT + 1
-        path.write_text(json.dumps(payload))
-        assert cache.load(task) is None
-
-    def test_protocol_mismatch_rejected(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        task = self._one_task()
-        execute_tasks([task], cache=cache)
-        path = cache.path_for(task_key(task))
-        payload = json.loads(path.read_text())
-        payload["metrics"]["protocol"] = "epidemic"
-        path.write_text(json.dumps(payload))
-        assert cache.load(task) is None
+    def test_damaged_record_recomputed(self, tmp_path):
+        stream = tmp_path / "driver.jsonl"
+        spec = ReplicateSpec(scenario=TINY, protocol="glr", runs=1)
+        [[metrics]] = run_replicate_specs([spec], stream_path=stream)
+        header, record = stream.read_text().splitlines()
+        stream.write_text(f"{header}\n{record[: len(record) // 2]}\n")
+        [[recomputed]] = run_replicate_specs([spec], stream_path=stream)
+        assert metrics_fingerprint(recomputed) == metrics_fingerprint(metrics)
+        assert stream.with_name(stream.name + ".quarantined").exists()
 
     def test_per_node_storage_keys_restored_as_ints(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        task = self._one_task()
-        [metrics] = execute_tasks([task], cache=cache)
-        loaded = cache.load(task)
+        stream = tmp_path / "driver.jsonl"
+        spec = ReplicateSpec(scenario=TINY, protocol="glr", runs=1)
+        [[metrics]] = run_replicate_specs([spec])
+        run_replicate_specs([spec], stream_path=stream)
+        [[loaded]] = run_replicate_specs([spec], stream_path=stream)
         assert loaded.per_node_peak_storage == metrics.per_node_peak_storage
         assert all(
             isinstance(k, int) for k in loaded.per_node_peak_storage
         )
+
+    def test_task_identity_bump_separates_streams(
+        self, tmp_path, monkeypatch
+    ):
+        stream = tmp_path / "driver.jsonl"
+        spec = ReplicateSpec(scenario=TINY, protocol="glr", runs=1)
+        run_replicate_specs([spec], stream_path=stream)
+        monkeypatch.setattr(campaign_mod, "CACHE_FORMAT", CACHE_FORMAT + 1)
+        with pytest.raises(StreamError):
+            run_replicate_specs([spec], stream_path=stream)
+
+    def test_driver_stream_is_not_a_campaign_stream(self, tmp_path):
+        from repro.experiments.campaign import campaign_result_from_stream
+
+        stream = tmp_path / "driver.jsonl"
+        run_replicate_specs(self._specs()[:1], stream_path=stream)
+        with pytest.raises(ValueError, match="experiment --stream"):
+            campaign_result_from_stream(stream)
 
 
 class TestDeterminism:
@@ -226,14 +253,13 @@ class TestDeterminism:
         for r, p in zip(reference, parallel):
             assert metrics_fingerprint(r) == metrics_fingerprint(p)
 
-    def test_run_replicates_cache_dir_path(self, tmp_path):
-        first = run_replicates(
-            TINY, "glr", runs=2, cache_dir=str(tmp_path)
-        )
-        second = run_replicates(
-            TINY, "glr", runs=2, cache_dir=str(tmp_path)
-        )
-        for a, b in zip(first, second):
+    def test_run_replicates_stream_path(self, tmp_path):
+        reference = run_replicates(TINY, "glr", runs=2)
+        stream = tmp_path / "replicates.jsonl"
+        first = run_replicates(TINY, "glr", runs=2, stream_path=stream)
+        second = run_replicates(TINY, "glr", runs=2, stream_path=str(stream))
+        for r, a, b in zip(reference, first, second):
+            assert metrics_fingerprint(r) == metrics_fingerprint(a)
             assert metrics_fingerprint(a) == metrics_fingerprint(b)
 
 
@@ -254,23 +280,13 @@ class TestExecuteTasks:
         for task, metrics in zip(tasks, results):
             assert metrics.protocol == task.protocol
 
-    def test_progress_reports_every_task(self, tmp_path):
+    def test_progress_reports_every_task(self):
         spec = ReplicateSpec(scenario=TINY, protocol="glr", runs=3)
         events = []
-        execute_tasks(
-            spec.tasks(),
-            cache=ResultCache(tmp_path),
-            progress=events.append,
-        )
+        execute_tasks(spec.tasks(), progress=events.append)
         assert [e.done for e in events] == [1, 2, 3]
         assert all(e.total == 3 and not e.cached for e in events)
-        events.clear()
-        execute_tasks(
-            spec.tasks(),
-            cache=ResultCache(tmp_path),
-            progress=events.append,
-        )
-        assert all(e.cached for e in events)
+        assert all(e.source == "ran" for e in events)
 
 
 class TestCampaignSpec:
@@ -381,12 +397,13 @@ class TestMobilityAxis:
             for s, p in zip(serial.metrics[cell], parallel.metrics[cell]):
                 assert metrics_fingerprint(s) == metrics_fingerprint(p)
 
-    def test_cache_resume_is_bit_identical(self, tmp_path):
+    def test_stream_resume_is_bit_identical(self, tmp_path):
         spec = self._spec()
-        cold = run_campaign(spec, workers=2, cache_dir=tmp_path)
-        assert cold.cache_misses == 4 and cold.cache_hits == 0
-        resumed = run_campaign(spec, workers=2, cache_dir=tmp_path)
-        assert resumed.cache_hits == 4 and resumed.cache_misses == 0
+        stream = tmp_path / "s.jsonl"
+        cold = run_campaign(spec, workers=2, stream_path=stream)
+        assert cold.stream_hits == 0
+        resumed = run_campaign(spec, workers=2, stream_path=stream)
+        assert resumed.stream_hits == 4
         for cell in cold.metrics:
             for a, b in zip(cold.metrics[cell], resumed.metrics[cell]):
                 assert metrics_fingerprint(a) == metrics_fingerprint(b)
@@ -412,7 +429,7 @@ class TestMobilityAxis:
 
 
 class TestRunCampaign:
-    def test_end_to_end_with_cache_resume(self, tmp_path):
+    def test_end_to_end_with_stream_resume(self, tmp_path):
         spec = CampaignSpec(
             name="e2e",
             base=TINY,
@@ -420,37 +437,32 @@ class TestRunCampaign:
             protocols=("glr", "epidemic"),
             replicates=3,
         )
-        first = run_campaign(spec, workers=2, cache_dir=tmp_path)
-        assert first.cache_misses == spec.total_tasks() == 12
-        assert first.cache_hits == 0
+        stream = tmp_path / "e2e.jsonl"
+        first = run_campaign(spec, workers=2, stream_path=stream)
+        assert spec.total_tasks() == 12
+        assert first.stream_line() == "stream: 0 tasks resumed"
         assert set(first.metrics) == {
             (scenario.name, str(protocol))
             for scenario in spec.scenarios()
             for protocol in spec.protocols
         }
 
-        resumed = run_campaign(spec, workers=2, cache_dir=tmp_path)
-        assert resumed.cache_hits == 12
-        assert resumed.cache_misses == 0
+        resumed = run_campaign(spec, workers=2, stream_path=stream)
+        assert resumed.stream_hits == 12
         for cell, runs in first.metrics.items():
             for a, b in zip(runs, resumed.metrics[cell]):
                 assert metrics_fingerprint(a) == metrics_fingerprint(b)
-        assert "100.0% hit rate" in resumed.cache_line()
+        assert resumed.stream_line() == "stream: 12 tasks resumed"
 
-    def test_summaries_and_render(self, tmp_path):
+    def test_summaries_and_render(self):
         spec = CampaignSpec(name="render", base=TINY, replicates=2)
-        result = run_campaign(spec, cache_dir=tmp_path)
+        result = run_campaign(spec)
         summaries = result.summaries()
         assert ("render", "glr") in summaries
         assert summaries[("render", "glr")].runs == 2
         text = result.render()
         assert "render" in text and "glr" in text
-        assert "cache:" in result.cache_line()
-
-    def test_cache_line_disabled_without_cache_dir(self):
-        spec = CampaignSpec(name="nocache", base=TINY, replicates=1)
-        result = run_campaign(spec)
-        assert result.cache_line() == "cache: disabled"
+        assert result.stream_line() == "stream: 0 tasks resumed"
 
 
 class TestTasksWorkerIdleTimeout:
@@ -632,7 +644,7 @@ class TestProtocolAxis:
     def test_paramless_config_normalises_to_none_in_spec(self):
         # ReplicateSpec(protocol="glr") and
         # ReplicateSpec(..., protocol_config=ProtocolConfig.of("glr"))
-        # are the same logical cell; their tasks must share cache keys
+        # are the same logical cell; their tasks must share task keys
         # and stream identities.
         from repro.experiments.protocols import ProtocolConfig
 
@@ -663,7 +675,7 @@ class TestProtocolAxis:
 
     def test_bare_variant_tasks_have_no_protocol_config(self):
         # ProtocolConfig with no params must key identically to the
-        # pre-axis engine (and stay eligible for v2 cache migration).
+        # pre-axis engine, so streams written before the axis resume.
         spec = CampaignSpec(
             name="bare", base=TINY, protocols=("glr",), replicates=1
         )
@@ -706,43 +718,8 @@ class TestGridOrderRoundTrip:
         assert len(spec.scenarios()) == 2
 
 
-class TestMergeCaches:
-    def test_union_copies_missing_entries(self, tmp_path):
-        from repro.experiments.campaign import merge_caches
-
-        spec = ReplicateSpec(scenario=TINY, protocol="glr", runs=2)
-        tasks = spec.tasks()
-        cache_a = ResultCache(tmp_path / "a")
-        cache_b = ResultCache(tmp_path / "b")
-        execute_tasks(tasks[:1], cache=cache_a)
-        execute_tasks(tasks[1:], cache=cache_b)
-
-        copied = merge_caches(
-            tmp_path / "union", [tmp_path / "a", tmp_path / "b"]
-        )
-        assert copied == 2
-        union = ResultCache(tmp_path / "union")
-        assert union.load(tasks[0]) is not None
-        assert union.load(tasks[1]) is not None
-
-    def test_existing_entries_not_recopied(self, tmp_path):
-        from repro.experiments.campaign import merge_caches
-
-        spec = ReplicateSpec(scenario=TINY, protocol="glr", runs=1)
-        cache = ResultCache(tmp_path / "a")
-        execute_tasks(spec.tasks(), cache=cache)
-        assert merge_caches(tmp_path / "u", [tmp_path / "a"]) == 1
-        assert merge_caches(tmp_path / "u", [tmp_path / "a"]) == 0
-
-    def test_missing_dir_rejected(self, tmp_path):
-        from repro.experiments.campaign import merge_caches
-
-        with pytest.raises(ValueError, match="does not exist"):
-            merge_caches(tmp_path / "u", [tmp_path / "nope"])
-
-
 class TestAdversaryAxis:
-    """Adversary injection as a campaign axis with stable cache keys."""
+    """Adversary injection as a campaign axis with stable task keys."""
 
     def _spec(self, replicates=1):
         return CampaignSpec(
@@ -788,7 +765,7 @@ class TestAdversaryAxis:
 
     def test_honest_cell_keys_like_pre_axis_tasks(self):
         # fraction=0 and "no adversary" are the same spelling: honest
-        # tasks must hit caches written before the axis existed.
+        # tasks must resume streams written before the axis existed.
         honest = ReplicateTask(
             TINY.but(adversary="blackhole:0"), "epidemic", 0
         )
@@ -818,12 +795,13 @@ class TestAdversaryAxis:
             for s, p in zip(serial.metrics[cell], parallel.metrics[cell]):
                 assert metrics_fingerprint(s) == metrics_fingerprint(p)
 
-    def test_cache_resume_is_bit_identical(self, tmp_path):
+    def test_stream_resume_is_bit_identical(self, tmp_path):
         spec = self._spec()
-        cold = run_campaign(spec, workers=2, cache_dir=tmp_path)
-        assert cold.cache_misses == 3 and cold.cache_hits == 0
-        resumed = run_campaign(spec, workers=2, cache_dir=tmp_path)
-        assert resumed.cache_hits == 3 and resumed.cache_misses == 0
+        stream = tmp_path / "s.jsonl"
+        cold = run_campaign(spec, workers=2, stream_path=stream)
+        assert cold.stream_hits == 0
+        resumed = run_campaign(spec, workers=2, stream_path=stream)
+        assert resumed.stream_hits == 3
         for cell in cold.metrics:
             for a, b in zip(cold.metrics[cell], resumed.metrics[cell]):
                 assert metrics_fingerprint(a) == metrics_fingerprint(b)

@@ -116,13 +116,40 @@ class TestExperiment:
                 "bench",
                 "--workers",
                 "2",
-                "--cache-dir",
-                str(tmp_path),
+                "--stream",
+                str(tmp_path / "table3.jsonl"),
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "custody" in out
+
+    def test_stream_flag_reaches_the_driver_and_resumes(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.experiments import campaign as campaign_mod
+        from repro.experiments.common import Effort
+
+        monkeypatch.setitem(
+            EFFORTS, "bench", Effort(runs=1, sim_time=10.0, message_count=2)
+        )
+        stream = tmp_path / "table3.jsonl"
+        args = ["experiment", "table3", "--stream", str(stream)]
+        assert main(args) == 0
+        first = capsys.readouterr().out
+        header, *records = map(json.loads, stream.read_text().splitlines())
+        assert "replicate_specs" in header["spec"]
+        assert records and all(r["kind"] == "task" for r in records)
+
+        def no_simulation(task):
+            raise AssertionError(f"resume simulated {task}")
+
+        monkeypatch.setattr(campaign_mod, "_run_task_timed", no_simulation)
+        assert main(args) == 0
+        assert capsys.readouterr().out == first
+        # Different arguments against the same stream are refused.
+        assert main(args + ["--seed", "2"]) == 2
+        assert "refusing to mix" in capsys.readouterr().err
 
 
 class TestCampaign:
@@ -131,27 +158,27 @@ class TestCampaign:
         out = capsys.readouterr().out
         assert "8 simulations" in out
         assert "cli-tiny/radius=100.0" in out
-        assert "cache: disabled" in out
+        assert "stream:" not in out
 
-    def test_campaign_resumes_from_cache(self, capsys, tmp_path):
+    def test_campaign_resumes_from_stream(self, capsys, tmp_path):
         args = TINY_CAMPAIGN + [
             "--workers",
             "2",
-            "--cache-dir",
-            str(tmp_path),
+            "--stream",
+            str(tmp_path / "tiny.jsonl"),
         ]
         assert main(args) == 0
         first = capsys.readouterr().out
-        assert "8 misses" in first
+        assert "stream: 0 tasks resumed" in first
         assert "(ran)" in first
 
         assert main(args) == 0
         second = capsys.readouterr().out
-        assert "cache: 8 hits, 0 misses (100.0% hit rate)" in second
-        assert "(cache)" in second and "(ran)" not in second
+        assert "stream: 8 tasks resumed" in second
+        assert "(stream)" in second and "(ran)" not in second
 
         # The summary tables (everything after the progress log) match:
-        # cached metrics are identical to the freshly simulated ones.
+        # resumed metrics are identical to the freshly simulated ones.
         def summary(text):
             return [
                 line
@@ -406,8 +433,8 @@ class TestMobilityCli:
                 "bench",
                 "--mobility",
                 "gauss-markov",
-                "--cache-dir",
-                str(tmp_path),
+                "--stream",
+                str(tmp_path / "fig6.jsonl"),
             ]
         )
         assert code == 0
@@ -418,6 +445,13 @@ class TestMobilityCli:
             ["experiment", "fig1", "--mobility", "gauss-markov"]
         ) == 2
         assert "static-topology" in capsys.readouterr().err
+
+    def test_fig1_rejects_stream(self, capsys, tmp_path):
+        assert main(
+            ["experiment", "fig1", "--stream", str(tmp_path / "f.jsonl")]
+        ) == 2
+        assert "runs no simulations" in capsys.readouterr().err
+        assert not (tmp_path / "f.jsonl").exists()
 
 
 class TestCampaignV2Cli:
@@ -597,26 +631,6 @@ class TestCampaignV2Cli:
             == 2
         )
         assert "same campaign spec" in capsys.readouterr().err
-
-    def test_merge_cache_union_flags_must_pair(self, capsys, tmp_path):
-        a = tmp_path / "a.jsonl"
-        assert main(self._grid_args(stream=a)) == 0
-        capsys.readouterr()
-        assert (
-            main(
-                [
-                    "campaign",
-                    "merge",
-                    "--out",
-                    str(tmp_path / "m.jsonl"),
-                    str(a),
-                    "--caches",
-                    "x,y",
-                ]
-            )
-            == 2
-        )
-        assert "--cache-out" in capsys.readouterr().err
 
     def test_aggregate_missing_stream_exits_2(self, capsys, tmp_path):
         assert (

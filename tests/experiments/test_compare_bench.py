@@ -22,7 +22,6 @@ def datapoint(tasks_per_s: float = 2.0, cold_wall_s: float = 10.0) -> dict:
         "cold_wall_s": cold_wall_s,
         "tasks_per_s": tasks_per_s,
         "stream_resume_s": 0.05,
-        "cache_resume_s": 0.2,
         "orchestrated_wall_s": 12.0,
     }
 
@@ -60,6 +59,21 @@ class TestGate:
         assert result.returncode == 0
         assert "OK" in result.stdout
         assert "WARNING" not in result.stdout
+
+    def test_baseline_with_retired_rows_still_compares(self, tmp_path):
+        # Baselines written before the cache-resume leg was dropped
+        # still carry its row; the gate ignores it.
+        current = write(tmp_path / "current.json", datapoint(2.0))
+        baseline = write(
+            tmp_path / "baseline.json",
+            {**datapoint(2.1), "cache_resume_s": 0.2},
+        )
+        result = run_gate(
+            "--current", str(current), "--baseline", str(baseline)
+        )
+        assert result.returncode == 0
+        assert "OK" in result.stdout
+        assert "cache resume" not in result.stdout
 
     def test_improvement_passes(self, tmp_path):
         current = write(tmp_path / "current.json", datapoint(3.0))

@@ -12,11 +12,10 @@ Locks down the properties every v2 surface must preserve:
   path (``run_replicates`` / ``run_single``, unchanged since the seed)
   on probe scenarios;
 - stream-rebuilt aggregates equal live aggregates, byte for byte;
-- a campaign killed after K tasks resumes from its stream alone (no
-  result cache), runs exactly the remaining tasks, and converges to
-  the uninterrupted stream;
-- v2-format cache entries migrate to v3 keys on read;
-- trace mobility cache keys follow file *content*, not the path.
+- a campaign killed after K tasks resumes from its stream alone, runs
+  exactly the remaining tasks, and converges to the uninterrupted
+  stream;
+- trace mobility task keys follow file *content*, not the path.
 """
 
 from __future__ import annotations
@@ -27,16 +26,14 @@ import json
 import pytest
 
 from repro.experiments.campaign import (
-    CACHE_FORMAT,
     CampaignSpec,
     ReplicateSpec,
     ReplicateTask,
-    ResultCache,
     campaign_result_from_stream,
     campaign_spec_hash,
     execute_tasks,
-    legacy_task_key,
     run_campaign,
+    run_replicate_specs,
     task_key,
 )
 from repro.experiments.orchestrator import orchestrate_campaign
@@ -413,7 +410,6 @@ class TestV1Reproduction:
         result = run_campaign(
             spec,
             workers=2,
-            cache_dir=tmp_path / "cache",
             stream_path=tmp_path / "stream.jsonl",
         )
         [runs] = result.metrics.values()
@@ -443,7 +439,6 @@ class TestStreamAggregationEquivalence:
         run_campaign(v2_spec, stream_path=tmp_path / "s.jsonl")
         resumed = run_campaign(v2_spec, stream_path=tmp_path / "s.jsonl")
         assert resumed.stream_hits == v2_spec.total_tasks()
-        assert resumed.cache_misses == 0
 
     def test_aggregate_reads_around_torn_tail_without_repairing(
         self, v2_spec, tmp_path
@@ -520,7 +515,7 @@ class TestStreamAggregationEquivalence:
 
 
 class TestStreamBackedResume:
-    """Streams are the primary resume medium: no cache dir required."""
+    """Streams are the resume medium."""
 
     def test_killed_after_k_tasks_resumes_stream_only(
         self, v2_spec, tmp_path
@@ -540,7 +535,7 @@ class TestStreamBackedResume:
         lines = full.read_text().splitlines(keepends=True)
         interrupted.write_text("".join(lines[: 1 + kill_after]))
 
-        # Resume with *no cache dir*: only the remaining tasks run.
+        # Resume: only the remaining tasks run.
         sources = []
         resumed = run_campaign(
             v2_spec,
@@ -551,7 +546,6 @@ class TestStreamBackedResume:
         assert sources.count("ran") == total - kill_after
         assert len(sources) == total
         assert resumed.stream_hits == kill_after
-        assert resumed.cache_enabled is False
 
         # The resumed stream converges to the uninterrupted one:
         # identical lines in identical order, up to per-run provenance
@@ -583,72 +577,6 @@ class TestStreamBackedResume:
         assert stream_essence(interrupted) == stream_essence(full)
 
 
-class TestCacheFormatMigration:
-    def _task(self):
-        return ReplicateSpec(
-            scenario=TINY, protocol="glr", runs=1
-        ).tasks()[0]
-
-    def test_v2_entry_migrates_on_read(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        task = self._task()
-        [metrics] = execute_tasks([task], cache=cache)
-
-        # Rewrite the entry as a v2-era cache would have stored it:
-        # format 2, no protocol_config field, at the legacy key path.
-        v3_path = cache.path_for(task_key(task))
-        payload = json.loads(v3_path.read_text())
-        payload["format"] = 2
-        payload["key"].pop("protocol_config")
-        payload["key"]["format"] = 2
-        legacy_path = cache.path_for(legacy_task_key(task))
-        legacy_path.parent.mkdir(parents=True, exist_ok=True)
-        legacy_path.write_text(json.dumps(payload))
-        v3_path.unlink()
-
-        fresh = ResultCache(tmp_path)
-        loaded = fresh.load(task)
-        assert loaded == metrics
-        assert fresh.hits == 1 and fresh.misses == 0
-        # ... and the entry was re-stored under the v3 key.
-        assert v3_path.exists()
-        assert json.loads(v3_path.read_text())["format"] == CACHE_FORMAT
-
-    def test_legacy_key_differs_from_v3_key(self):
-        task = self._task()
-        assert legacy_task_key(task) is not None
-        assert legacy_task_key(task) != task_key(task)
-
-    def test_no_legacy_identity_for_v3_only_features(self, tmp_path):
-        with_config = ReplicateTask(
-            TINY, "glr", 0,
-            protocol_config=ProtocolConfig.of("glr", custody=False),
-        )
-        assert legacy_task_key(with_config) is None
-
-        trace_path = tmp_path / "trace.ns2"
-        trace_path.write_text(
-            "$node_(0) set X_ 10.0\n$node_(0) set Y_ 10.0\n"
-        )
-        traced = ReplicateTask(
-            TINY.but(
-                mobility=MobilityConfig.of("trace", path=str(trace_path))
-            ),
-            "glr",
-            0,
-        )
-        assert legacy_task_key(traced) is None
-
-    def test_corrupt_legacy_entry_recomputed(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        task = self._task()
-        legacy_path = cache.path_for(legacy_task_key(task))
-        legacy_path.parent.mkdir(parents=True, exist_ok=True)
-        legacy_path.write_text("{ not json !!!")
-        assert cache.load(task) is None
-        assert cache.misses == 1
-
-
 class TestTraceContentHashKeys:
     def _write_trace(self, path, x=10.0):
         path.write_text(
@@ -656,8 +584,8 @@ class TestTraceContentHashKeys:
             "$node_(1) set X_ 20.0\n$node_(1) set Y_ 20.0\n"
         )
 
-    def _task(self, trace_path):
-        scenario = Scenario(
+    def _scenario(self, trace_path):
+        return Scenario(
             name="traced",
             n_nodes=2,
             active_nodes=2,
@@ -666,7 +594,19 @@ class TestTraceContentHashKeys:
             sim_time=10.0,
             mobility=MobilityConfig.of("trace", path=str(trace_path)),
         )
-        return ReplicateTask(scenario, "glr", 0)
+
+    def _task(self, trace_path):
+        return ReplicateTask(self._scenario(trace_path), "glr", 0)
+
+    def _run(self, trace_path, stream):
+        """Run the traced task into ``stream``; (metrics, sources)."""
+        sources = []
+        [[metrics]] = run_replicate_specs(
+            [ReplicateSpec(self._scenario(trace_path), "glr", runs=1)],
+            stream_path=stream,
+            progress=lambda event: sources.append(event.source),
+        )
+        return metrics, sources
 
     def test_editing_trace_invalidates_key(self, tmp_path):
         trace = tmp_path / "a.ns2"
@@ -685,27 +625,29 @@ class TestTraceContentHashKeys:
         renamed.write_bytes(original.read_bytes())
         assert task_key(self._task(renamed)) == key
 
-    def test_edited_trace_misses_cache_and_recomputes(self, tmp_path):
+    def test_edited_trace_reruns_from_its_stream(self, tmp_path):
         trace = tmp_path / "a.ns2"
+        stream = tmp_path / "traced.jsonl"
         self._write_trace(trace)
-        cache = ResultCache(tmp_path / "cache")
-        task = self._task(trace)
-        execute_tasks([task], cache=cache)
-        assert cache.load(task) is not None
+        _, sources = self._run(trace, stream)
+        assert sources == ["ran"]
+        assert self._run(trace, stream)[1] == ["stream"]
 
         self._write_trace(trace, x=11.0)
-        edited = self._task(trace)
-        assert cache.load(edited) is None
+        assert self._run(trace, stream)[1] == ["ran"]
 
-    def test_renamed_trace_resumes_from_cache(self, tmp_path):
+    def test_renamed_trace_resumes_from_its_stream(self, tmp_path):
         trace = tmp_path / "a.ns2"
+        stream = tmp_path / "traced.jsonl"
         self._write_trace(trace)
-        cache = ResultCache(tmp_path / "cache")
-        [metrics] = execute_tasks([self._task(trace)], cache=cache)
+        metrics, _ = self._run(trace, stream)
 
-        copy = tmp_path / "copy.ns2"
+        copy = tmp_path / "subdir" / "copy.ns2"
+        copy.parent.mkdir()
         copy.write_bytes(trace.read_bytes())
-        assert cache.load(self._task(copy)) == metrics
+        resumed, sources = self._run(copy, stream)
+        assert sources == ["stream"]
+        assert fingerprint(resumed) == fingerprint(metrics)
 
     def test_missing_trace_file_fails_key_computation(self, tmp_path):
         task = self._task(tmp_path / "gone.ns2")
@@ -915,21 +857,18 @@ class TestVectorizedEquivalence:
         assert cell_fingerprints(stolen.result) == cell_fingerprints(serial)
         assert stolen.result.render() == serial.render()
 
-    def test_explicit_engine_changes_cache_key_default_does_not(
-        self, tmp_path
-    ):
-        """Engine=None tasks keep their pre-engine cache identity (the
+    def test_explicit_engine_changes_task_key_default_does_not(self):
+        """Engine=None tasks keep their pre-engine task identity (the
         field is popped from canonical payloads), while pinned engines
         key separately — a vectorized result can never shadow a
-        reference-keyed entry or vice versa."""
+        reference-keyed record or vice versa."""
         default = ReplicateTask(TINY, "glr", 0)
         pinned_ref = ReplicateTask(TINY.but(engine="reference"), "glr", 0)
         pinned_vec = ReplicateTask(TINY.but(engine="vectorized"), "glr", 0)
         assert task_key(default) != task_key(pinned_ref)
         assert task_key(pinned_ref) != task_key(pinned_vec)
-        # Engines are bit-identical, so a cache primed by a vectorized
-        # run serves the same metrics a reference run would compute.
-        cache = ResultCache(tmp_path / "cache")
-        [vec_metrics] = execute_tasks([pinned_vec], cache=cache)
-        [ref_metrics] = execute_tasks([pinned_ref], cache=cache)
+        # Engines are bit-identical, so both pins compute the same
+        # metrics.
+        [vec_metrics] = execute_tasks([pinned_vec])
+        [ref_metrics] = execute_tasks([pinned_ref])
         assert fingerprint(vec_metrics) == fingerprint(ref_metrics)

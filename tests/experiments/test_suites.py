@@ -92,17 +92,18 @@ class TestSuiteExecution:
             for s, p in zip(serial.metrics[cell], parallel.metrics[cell]):
                 assert dataclasses.asdict(s) == dataclasses.asdict(p)
 
-    def test_convoy_suite_runs_through_cache(self, tmp_path):
+    def test_convoy_suite_resumes_from_stream(self, tmp_path):
         spec = build_suite(
             "convoy",
             replicates=1,
             effort=TINY_EFFORT,
             base_overrides=TINY_BASE,
         )
-        cold = run_campaign(spec, cache_dir=tmp_path)
-        resumed = run_campaign(spec, cache_dir=tmp_path)
-        assert cold.cache_misses == spec.total_tasks()
-        assert resumed.cache_hits == spec.total_tasks()
+        stream = tmp_path / "convoy.jsonl"
+        cold = run_campaign(spec, stream_path=stream)
+        resumed = run_campaign(spec, stream_path=stream)
+        assert cold.stream_hits == 0
+        assert resumed.stream_hits == spec.total_tasks()
         for cell in cold.metrics:
             for a, b in zip(cold.metrics[cell], resumed.metrics[cell]):
                 assert dataclasses.asdict(a) == dataclasses.asdict(b)
@@ -126,19 +127,21 @@ class TestMobilityXProtocolSuite:
         }
         assert {"custody", "check_interval"} <= swept_fields
 
-    def test_runs_end_to_end_with_cache(self, tmp_path):
+    def test_runs_end_to_end_with_stream(self, tmp_path):
         spec = build_suite(
             "mobility-x-protocol",
             replicates=1,
             effort=TINY_EFFORT,
             base_overrides=TINY_BASE,
         )
-        result = run_campaign(spec, workers=2, cache_dir=tmp_path)
+        stream = tmp_path / "suite.jsonl"
+        result = run_campaign(spec, workers=2, stream_path=stream)
         assert len(result.metrics) == len(spec.scenarios()) * len(
             spec.protocols
         )
         labels = {protocol for _, protocol in result.metrics}
         assert "glr(custody=False)" in labels
         assert "glr(check_interval=1.8)" in labels
-        resumed = run_campaign(spec, workers=2, cache_dir=tmp_path)
-        assert resumed.cache_hits == spec.total_tasks()
+        resumed = run_campaign(spec, workers=2, stream_path=stream)
+        assert resumed.stream_hits == spec.total_tasks()
+        assert resumed.render() == result.render()
