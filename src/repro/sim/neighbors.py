@@ -17,11 +17,15 @@ updates each node's timestamped location table with its in-range
 neighbours.  Between beacons all queries answer from the snapshot —
 stale by up to one interval, exactly like IMEP.
 
-The service also owns the per-epoch **LDTG cache**: the k-local Delaunay
-triangulation over the beacon snapshot, computed lazily on first query
-in an epoch.  All nodes acting on the same beacon epoch see mutually
-consistent local triangulations, which is what the k-local construction
-guarantees when neighbourhood information is synchronized.
+The service also owns the per-epoch **LDTG**: the k-local Delaunay
+triangulation graph over the beacon snapshot.  The first LDTG query in
+an epoch creates it; each node's adjacency is then evaluated the first
+time that node asks, and only the neighbourhoods its vote reads are
+triangulated (see :mod:`repro.graphs.ldt`).  All nodes acting on the
+same beacon epoch see mutually consistent local triangulations, which is
+what the k-local construction guarantees when neighbourhood information
+is synchronized.  Nothing is carried across epochs: between beacons
+every node moves, so no triangulation repeats.
 
 Beacon frames themselves are not pushed through the MAC — they are
 small, periodic, and identical across compared protocols, so simulating
@@ -217,26 +221,29 @@ class NeighborService:
     def ldt_neighbors(self, node: NodeId) -> set[NodeId]:
         """LDTG neighbours of ``node`` for the current epoch.
 
-        Computed lazily once per epoch for the whole snapshot; every node
-        then reads its own adjacency, modelling each node running the
-        k-local construction on consistent beacon data.
+        The epoch's LDTG is created on the first query and evaluates
+        ``node``'s adjacency on its first query, modelling each node
+        running the k-local construction on consistent beacon data.
+        Creation and evaluation are both charged to the ``ldt`` phase.
         """
+        t0 = self._profiler.start()
+        neighbors = set(self._epoch_ldt().neighbors(node))
+        self._profiler.add(PHASE_LDT, t0)
+        return neighbors
+
+    def ldt_graph(self) -> SpatialGraph:
+        """The current epoch's LDTG (analysis hooks; whole-graph reads
+        evaluate every node)."""
+        return self._epoch_ldt()
+
+    def _epoch_ldt(self) -> SpatialGraph:
         if self._ldt_cache is None:
-            t0 = self._profiler.start()
             self._ldt_cache = local_delaunay_graph(
                 self._snapshot.positions,
                 self._radio.range_m,
                 k=self.ldt_k,
                 udg=self._snapshot,
             )
-            self._profiler.add(PHASE_LDT, t0)
-        return set(self._ldt_cache.neighbors(node))
-
-    def ldt_graph(self) -> SpatialGraph:
-        """Entire cached LDTG for the current epoch (analysis hooks)."""
-        if self._ldt_cache is None:
-            self.ldt_neighbors(next(iter(self._snapshot.positions)))
-        assert self._ldt_cache is not None
         return self._ldt_cache
 
     # ------------------------------------------------------------------

@@ -15,6 +15,12 @@ Delaunay spanner correct"): that fix changes some LDTG edges and with
 them GLR's routes.  The PR that lands it must update these literals and
 state what moved.  The epidemic literals never build the LDTG and must
 not move for that fix.
+
+The GLR scale pin runs 200 nodes at paper density (4x the nodes on 4x
+the area) for 45 s.  At that size most nodes never ask for their LDTG
+neighbours in an epoch and many 2-hop neighbourhoods coincide, so it is
+the run that exercises the LDTG's per-node evaluation and its memoised
+triangulations.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import pytest
 
 from repro.experiments.runner import run_single
 from repro.experiments.scenarios import PAPER_TABLE1
+from repro.mobility.base import Region
 
 #: Table 1 at a 60 s horizon with the paper's 1 message/s load.
 SCENARIO = PAPER_TABLE1.but(sim_time=60.0, message_count=50)
@@ -75,6 +82,40 @@ PINS = {
 def test_short_table1_run_matches_pinned_metrics(protocol, engine):
     scalars, digest = PINS[protocol]
     metrics = run_single(SCENARIO.but(engine=engine), protocol)
+    assert {name: getattr(metrics, name) for name in scalars} == scalars
+    blob = json.dumps(metrics.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+#: Paper density at 200 nodes, short horizon, every message created.
+SCALE_SCENARIO = PAPER_TABLE1.but(
+    n_nodes=200, region=Region(3000.0, 600.0), sim_time=45.0, message_count=40
+)
+
+SCALE_PIN = (
+    {
+        "messages_created": 40,
+        "messages_delivered": 13,
+        "delivery_ratio": 0.325,
+        "average_latency": 16.698330977490812,
+        "average_hops": 14.384615384615385,
+        "max_peak_storage": 7,
+        "frames_sent": 3129,
+        "frames_delivered": 2893,
+        "frames_lost_collision": 149,
+        "frames_lost_range": 87,
+        "frames_dropped_queue": 0,
+        "retries": 214,
+        "events_processed": 13519,
+    },
+    "c4e82ecc5f41688ebe6a357d4f92fdbbcc3b608ce26d33fb39f6ec9fb92a8419",
+)
+
+
+@pytest.mark.parametrize("engine", ["reference", "vectorized"])
+def test_glr_at_200_nodes_matches_pinned_metrics(engine):
+    scalars, digest = SCALE_PIN
+    metrics = run_single(SCALE_SCENARIO.but(engine=engine), "glr")
     assert {name: getattr(metrics, name) for name in scalars} == scalars
     blob = json.dumps(metrics.to_json(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == digest

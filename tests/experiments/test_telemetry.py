@@ -367,21 +367,32 @@ class TestPhaseProfiler:
         assert isinstance(make_profiler(), PhaseProfiler)
 
     def test_ldtg_construction_is_charged_to_its_own_phase(self, monkeypatch):
-        """The LDTG build is timed as ``ldt``, not as the UDG rebuild
-        that shares its per-epoch snapshot."""
+        """The LDTG is timed as ``ldt``: its per-epoch construction, not
+        as the UDG rebuild that shares its snapshot, and its per-node
+        evaluation (the triangulations), not as the protocol decision
+        that asks for a node's LDTG neighbours."""
         from repro.experiments.runner import run_single
         from repro.experiments.scenarios import Scenario
+        from repro.graphs import ldt
         from repro.sim import neighbors
 
         build = neighbors.local_delaunay_graph
+        triangulate = ldt.delaunay_edges
         builds = []
+        triangulations = []
 
         def slow_build(*args, **kwargs):
             builds.append(1)
             time.sleep(0.01)
             return build(*args, **kwargs)
 
+        def slow_triangulate(points):
+            triangulations.append(1)
+            time.sleep(0.01)
+            return triangulate(points)
+
         monkeypatch.setattr(neighbors, "local_delaunay_graph", slow_build)
+        monkeypatch.setattr(ldt, "delaunay_edges", slow_triangulate)
         profiler = PhaseProfiler()
         scenario = Scenario(
             n_nodes=10, active_nodes=5, radius=150.0, message_count=2,
@@ -389,9 +400,11 @@ class TestPhaseProfiler:
         )
         run_single(scenario, "glr", profiler=profiler)
         snap = profiler.snapshot()
-        assert builds
-        assert snap[PHASE_LDT] >= 0.01 * len(builds)
+        assert builds and triangulations
+        slept = 0.01 * (len(builds) + len(triangulations))
+        assert snap[PHASE_LDT] >= slept
         assert snap[PHASE_UDG] < 0.01 * len(builds)
+        assert snap[PHASE_PROTOCOL] < 0.01 * len(triangulations)
 
     def test_aggregate_sums_per_cell_and_skips_unprofiled(self):
         records = [

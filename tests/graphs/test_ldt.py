@@ -6,12 +6,18 @@ The load-bearing claims from the paper that we verify:
 - for k = 2 it is planar on random instances (the paper's justification
   for building it the way it does);
 - it preserves UDG connectivity (a spanner must not disconnect);
-- the node-local computation agrees with the global construction.
+- the node-local computation agrees with the global construction;
+- the lazy, memoised LDTG answers exactly what the eager whole-graph
+  construction it replaced answered, however it is queried.
 """
+
+import random
 
 import pytest
 
+from repro.geometry.delaunay import delaunay_edges
 from repro.geometry.primitives import Point
+from repro.graphs import ldt as ldt_mod
 from repro.graphs.connectivity import connected_components
 from repro.graphs.faces import is_planar_embedding
 from repro.graphs.ldt import (
@@ -19,7 +25,8 @@ from repro.graphs.ldt import (
     local_delaunay_graph,
     node_local_ldt_neighbors,
 )
-from repro.graphs.udg import unit_disk_graph
+from repro.graphs.udg import SpatialGraph, unit_disk_graph
+from repro.sim.arraystate import numpy_or_none
 
 from tests.conftest import random_points
 
@@ -153,3 +160,185 @@ class TestAgainstRdgIntuition:
         diagonals = [e for e in edges if e in {(0, 2), (1, 3)}]
         assert len(diagonals) <= 1
         assert ldt.edge_count() <= 5
+
+
+# ----------------------------------------------------------------------
+# Differential suite: lazy LDTG against the eager construction
+# ----------------------------------------------------------------------
+
+
+def eager_local_delaunay_edges_of(udg, node, k):
+    """Reference: the local Delaunay edge set, as first written."""
+    members = sorted(
+        udg.k_hop_neighborhood(node, k) | {node}, key=repr
+    )
+    points = [udg.positions[m] for m in members]
+    edges = delaunay_edges(points)
+    result: set[frozenset] = set()
+    for i, j in edges:
+        u, v = members[i], members[j]
+        if v in udg.neighbors(u):
+            result.add(frozenset((u, v)))
+    return result
+
+
+def eager_local_delaunay_graph(positions, radius, k=2, udg=None):
+    """Reference: the eager whole-graph k-LDTG and its vote loop, as
+    they were before evaluation became lazy."""
+    if k < 1:
+        raise ValueError("locality parameter k must be >= 1")
+    if udg is None:
+        udg = unit_disk_graph(positions, radius)
+
+    local_edges: dict = {
+        node: eager_local_delaunay_edges_of(udg, node, k)
+        for node in udg.nodes()
+    }
+    k_hoods: dict = {
+        node: udg.k_hop_neighborhood(node, k) | {node} for node in udg.nodes()
+    }
+
+    graph = SpatialGraph()
+    for node, p in positions.items():
+        graph.add_node(node, p)
+
+    for u, v in udg.edges():
+        link = frozenset((u, v))
+        if link not in local_edges[u] or link not in local_edges[v]:
+            continue
+        witnesses = (udg.neighbors(u) | udg.neighbors(v)) - {u, v}
+        accepted = True
+        for w in witnesses:
+            if u in k_hoods[w] and v in k_hoods[w]:
+                if link not in local_edges[w]:
+                    accepted = False
+                    break
+        if accepted:
+            graph.add_edge(u, v)
+    return graph
+
+
+#: Snapshot builders: the reference engine's UDG and the vectorized
+#: engine's array-backed UDG over the same positions.
+SNAPSHOTS = ["udg"] + (["array"] if numpy_or_none() else [])
+
+
+def snapshot(kind, positions, radius):
+    if kind == "udg":
+        return unit_disk_graph(positions, radius)
+    from repro.sim.arraystate import ArrayState
+
+    ids = list(positions)
+    state = ArrayState(ids, [[positions[i].x, positions[i].y] for i in ids])
+    return state.unit_disk_snapshot(radius)
+
+
+def assert_lazy_matches_eager(positions, radius, k, rng):
+    """Per snapshot kind: answer a shuffled prefix of per-node queries
+    (empty or complete for some seeds), then every whole-graph read."""
+    reference = eager_local_delaunay_graph(positions, radius, k=k)
+    expected = {node: reference.neighbors(node) for node in positions}
+    for kind in SNAPSHOTS:
+        udg = snapshot(kind, positions, radius)
+        lazy = local_delaunay_graph(positions, radius, k=k, udg=udg)
+        order = list(positions)
+        rng.shuffle(order)
+        for node in order[: rng.randrange(len(order) + 1)]:
+            assert lazy.neighbors(node) == expected[node], (kind, node)
+        assert lazy.adjacency == expected, kind
+        assert lazy.edges() == reference.edges(), kind
+        assert lazy.edge_count() == reference.edge_count(), kind
+
+
+#: (nodes, radius) in a 1000 m square: mean UDG degree about 2, 4 and 7.5.
+DENSITIES = {
+    "sparse": (15, 230.0),
+    "medium": (15, 370.0),
+    "dense": (15, 540.0),
+}
+
+
+class TestLazyMatchesEager:
+    @pytest.mark.parametrize("density", sorted(DENSITIES))
+    def test_random_placements(self, density):
+        n, radius = DENSITIES[density]
+        for seed in range(200):
+            rng = random.Random(seed)
+            positions = positions_of(random_points(n, seed))
+            assert_lazy_matches_eager(positions, radius, 2, rng)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_other_localities(self, k):
+        for seed in range(20):
+            rng = random.Random(seed)
+            positions = positions_of(random_points(18, seed))
+            assert_lazy_matches_eager(positions, 360.0, k, rng)
+
+    def test_colocated_duplicates(self):
+        for seed in range(40):
+            rng = random.Random(seed)
+            pts = random_points(14, seed)
+            # Several nodes share another node's exact position.
+            for i in range(4):
+                pts.append(pts[rng.randrange(len(pts))])
+            assert_lazy_matches_eager(positions_of(pts), 360.0, 2, rng)
+
+    @pytest.mark.parametrize("slope", [0.0, 0.5, None])
+    def test_collinear_sets(self, slope):
+        rng = random.Random(7)
+        xs = sorted(rng.uniform(0, 1000) for _ in range(12))
+        if slope is None:
+            pts = [Point(300.0, x) for x in xs]
+        else:
+            pts = [Point(x, 100.0 + slope * x) for x in xs]
+        for radius in (150.0, 400.0):
+            assert_lazy_matches_eager(positions_of(pts), radius, 2, rng)
+
+    def test_collinear_cluster_beside_random_nodes(self):
+        for seed in range(20):
+            rng = random.Random(seed)
+            pts = random_points(10, seed)
+            pts += [Point(400.0 + 30.0 * i, 500.0) for i in range(6)]
+            assert_lazy_matches_eager(positions_of(pts), 300.0, 2, rng)
+
+
+class TestMemoisation:
+    def counting(self, monkeypatch):
+        calls = []
+
+        def counted(points):
+            calls.append(len(points))
+            return delaunay_edges(points)
+
+        monkeypatch.setattr(ldt_mod, "delaunay_edges", counted)
+        return calls
+
+    def test_identical_k_hop_sets_triangulate_once(self, monkeypatch):
+        # Three nodes all in range of each other: every 2-hop set is
+        # {0, 1, 2}, so one triangulation serves every vote.
+        positions = {0: Point(0, 0), 1: Point(10, 0), 2: Point(5, 8)}
+        calls = self.counting(monkeypatch)
+        ldt = local_delaunay_graph(positions, radius=20.0, k=2)
+        assert calls == []
+        assert ldt.neighbors(0) == {1, 2}
+        assert ldt.neighbors(1) == {0, 2}
+        assert calls == [3]
+        assert ldt.edge_count() == 3
+        assert calls == [3]
+
+    def test_one_query_triangulates_only_what_its_vote_reads(
+        self, monkeypatch
+    ):
+        # Two clusters far apart: a query in one never triangulates the
+        # other, and an isolated node triangulates nothing.
+        positions = {
+            0: Point(0, 0), 1: Point(10, 0), 2: Point(5, 8),
+            3: Point(500, 0), 4: Point(510, 0), 5: Point(505, 8),
+            6: Point(900, 900),
+        }
+        calls = self.counting(monkeypatch)
+        ldt = local_delaunay_graph(positions, radius=20.0, k=2)
+        assert ldt.neighbors(3) == {4, 5}
+        assert calls == [3]
+        assert ldt.neighbors(6) == set()
+        assert calls == [3]
