@@ -1,8 +1,8 @@
 """Microbenchmarks for the substrates on the simulator's hot paths.
 
 These are conventional pytest-benchmark timings (multiple rounds): the
-Delaunay construction, LDTG build, RWP position queries and the event
-engine dominate the simulation profile, so regressions here translate
+Delaunay construction, LDTG build and per-link answers, RWP position
+queries and the event engine dominate the simulation profile, so regressions here translate
 directly into slower experiment harness runs.
 """
 
@@ -10,7 +10,7 @@ import random
 
 from repro.geometry.delaunay import delaunay_triangulation
 from repro.geometry.primitives import Point
-from repro.graphs.ldt import local_delaunay_graph
+from repro.graphs.ldt import local_delaunay_edges_of, local_delaunay_graph
 from repro.graphs.udg import unit_disk_graph
 from repro.mobility.base import Region
 from repro.mobility.random_waypoint import RandomWaypointMobility
@@ -161,6 +161,31 @@ def test_ldtg_single_node_query(benchmark):
         return ldt.neighbors(node)
 
     assert benchmark(query)
+
+
+def test_ldtg_link_membership(benchmark):
+    """Per-link answers on a fresh 200-node snapshot at paper density:
+    for every node, is each of its UDG links in ``A(N2(node))``?  These
+    are the questions an LDTG vote asks; each goes to the Gabriel
+    shortcut, the per-link kernel or a fallback triangulation."""
+    positions = _paper_density_mobility(n=200).positions(1.0)
+    udg = unit_disk_graph(positions, 100.0)
+    questions = [
+        (node, frozenset((node, other)))
+        for node in udg.nodes()
+        for other in udg.neighbors(node)
+    ]
+
+    def answer():
+        ldt = local_delaunay_graph(positions, 100.0, 2, udg=udg)
+        return [ldt.has(node, link) for node, link in questions]
+
+    answers = benchmark(answer)
+    expected = {
+        node: local_delaunay_edges_of(udg, node, 2) for node in udg.nodes()
+    }
+    assert answers == [link in expected[node] for node, link in questions]
+    assert any(answers) and not all(answers)
 
 
 def test_rwp_position_queries(benchmark):

@@ -2,14 +2,17 @@
 
 This is the ``A(N)`` operator of the paper: the (global) Delaunay
 triangulation of a point set ``N``.  The k-LDTG construction in
-:mod:`repro.graphs.ldt` evaluates it on k-hop neighbourhoods of tens of
-points, and it is the largest cost of a GLR run: 58% of the traced self
-time on the paper's Table 1 scenario and 67% at 200 nodes, before the
-LDTG triangulated only the neighbourhoods routing asks for.  The O(n^2)
-incremental algorithm below is kept as the textbook states it, so it
-stays easy to audit; the conflict scan reads each triangle's vertex
-points directly, and :func:`~repro.geometry.predicates.in_circle`
-rejects a non-positive determinant before computing its error scale.
+:mod:`repro.graphs.ldt` asks it about k-hop neighbourhoods of tens of
+points, and it was the largest cost of a GLR run (58% of the traced
+self time on the paper's Table 1 scenario).  The LDTG only needs to
+know whether one link is an edge, so :func:`delaunay_link` answers that
+directly with a few empty-circle tests, and the triangulation remains
+the reference and the fallback for the degenerate neighbourhoods the
+per-link test leaves undecided.  The O(n^2) incremental algorithm below
+is kept as the textbook states it, so it stays easy to audit; the
+conflict scan reads each triangle's vertex points directly, and
+:func:`~repro.geometry.predicates.in_circle` rejects a non-positive
+determinant before computing its error scale.
 
 Degenerate inputs are handled explicitly:
 
@@ -17,6 +20,11 @@ Degenerate inputs are handled explicitly:
   with no triangles (callers use :func:`delaunay_edges` which then falls
   back to the chain of collinear neighbours);
 - duplicate points are collapsed before triangulating.
+
+Bowyer–Watson starts from a finite :func:`super_triangle`, and so
+loses a convex-hull edge of 0.5–4% of random local point sets; the
+per-link test reproduces that loss by taking the super-triangle's
+vertices as ghost points, so both can be fixed in one place.
 """
 
 from __future__ import annotations
@@ -28,8 +36,9 @@ from repro.geometry.predicates import (
     Orientation,
     in_circle,
     orientation,
+    orientation_value,
 )
-from repro.geometry.primitives import Point, distance
+from repro.geometry.primitives import Point, distance, distance_sq
 from repro.geometry.triangulation import (
     Edge,
     Triangulation,
@@ -37,8 +46,13 @@ from repro.geometry.triangulation import (
 )
 
 
-def _super_triangle(points: Sequence[Point]) -> tuple[Point, Point, Point]:
-    """A triangle that comfortably contains every input point."""
+def super_triangle(points: Sequence[Point]) -> tuple[Point, Point, Point]:
+    """A triangle that comfortably contains every input point.
+
+    Its vertices lie at least ``200 * max(width, height, 1)`` from the
+    centre of the points' bounding box.  Bowyer–Watson starts from it
+    and drops every triangle that keeps one of its vertices.
+    """
     min_x = min(p.x for p in points)
     max_x = max(p.x for p in points)
     min_y = min(p.y for p in points)
@@ -87,7 +101,7 @@ def delaunay_triangulation(points: Iterable[Point]) -> Triangulation:
         return tri
 
     # Indices len(distinct) .. len(distinct)+2 are the super-triangle.
-    s0, s1, s2 = _super_triangle(distinct)
+    s0, s1, s2 = super_triangle(distinct)
     vertices = distinct + [s0, s1, s2]
     n = len(distinct)
 
@@ -182,6 +196,105 @@ def delaunay_edges(points: Sequence[Point]) -> set[Edge]:
     for u, v in compact_edges:
         edges.add(normalize_edge(back[u], back[v]))
     return edges
+
+
+def delaunay_link(
+    u: Point, v: Point, others: Iterable[Point], ghosts: Sequence[Point] = ()
+) -> bool | None:
+    """Whether ``uv`` is an edge of a Delaunay triangle of a point set.
+
+    The set is ``{u, v} ∪ others ∪ ghosts``.  ``ghosts`` take part in
+    every empty-circle test like ordinary points, but a triangle with a
+    ghost vertex does not count.  Passed the :func:`super_triangle` of
+    ``{u, v} ∪ others``, the answer is what :func:`delaunay_edges` says
+    about ``uv``, whenever that output has a triangle at all.
+
+    ``uv`` is a Delaunay edge iff no point right of ``u -> v`` lies
+    strictly inside the circle through ``u``, ``v`` and ``l*``, the left
+    point whose circle through ``u`` and ``v`` holds no other left
+    point; the right side's ``r*`` is found the same way when ``l*`` is
+    a ghost.  That costs about one in-circle test per point, against a
+    whole triangulation per question.
+
+    Returns None (undecided) when a point is collinear with ``uv``, when
+    a side has no points, or when any in-circle decision falls inside
+    the predicates' tolerance band (cocircular ties, where the
+    triangulation picks a diagonal by insertion order).
+    """
+    left: list[Point] = []
+    right: list[Point] = []
+    if not _split(u, v, others, left, right):
+        return None
+    real_left, real_right = len(left), len(right)
+    if not _split(u, v, ghosts, left, right) or not left or not right:
+        return None
+    best = _emptiest(u, v, left)
+    if best is None:
+        return None
+    apex = left[best]
+    for p in right:
+        # (v, u, apex) runs clockwise: in_circle then means strictly
+        # outside, which most points are, so it is asked first.
+        if in_circle(v, u, apex, p):
+            continue
+        return False if in_circle(u, v, apex, p) else None
+    if best < real_left:
+        return True
+    # uv is Delaunay but its left triangle has a ghost vertex: it is
+    # kept only if its right triangle has none.
+    best = _emptiest(v, u, right)
+    if best is None:
+        return None
+    return best < real_right
+
+
+def _split(
+    u: Point, v: Point, points: Iterable[Point], left: list, right: list
+) -> bool:
+    """Append ``points`` to the side of ``u -> v`` they lie on; False
+    as soon as one is collinear with ``uv``."""
+    for p in points:
+        turn = orientation(u, v, p)
+        if turn == Orientation.COUNTERCLOCKWISE:
+            left.append(p)
+        elif turn == Orientation.CLOCKWISE:
+            right.append(p)
+        else:
+            return False
+    return True
+
+
+def _emptiest(a: Point, b: Point, side: Sequence[Point]) -> int | None:
+    """Index of the point of ``side`` (all left of ``a -> b``) whose
+    circle through ``a`` and ``b`` holds no other; None on a tie."""
+    best = 0
+    apex = side[0]
+    for i in range(1, len(side)):
+        p = side[i]
+        if in_circle(b, a, apex, p):
+            continue
+        if not in_circle(a, b, apex, p):
+            return None
+        best, apex = i, p
+    return best
+
+
+def anchors_real_triangle(u: Point, v: Point, w: Point) -> bool:
+    """Whether ``w`` puts a triangle without super-triangle vertex on its
+    side of ``uv``, if ``uv`` is a Delaunay edge of a set holding ``w``.
+
+    The best apex on ``w``'s side has a circle through ``u`` and ``v``
+    no larger there than ``w``'s.  ``w``'s circumradius is at most 35
+    times the triangle's longest side, so its circle lies within
+    ``70 * sqrt(2)`` box sides of the set's bounding box, while the
+    :func:`super_triangle` vertices lie 199 or more away.
+    """
+    uv = distance_sq(u, v)
+    vw = distance_sq(v, w)
+    wu = distance_sq(w, u)
+    cross = orientation_value(u, v, w)
+    # R = |uv| |vw| |wu| / (2 |cross|) <= 35 L, squared and cleared.
+    return uv * vw * wu <= 4900.0 * cross * cross * max(uv, vw, wu)
 
 
 def is_delaunay(tri: Triangulation) -> bool:

@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
 
 from repro.geometry.primitives import Point
 from repro.mobility.base import Region
+
+try:
+    from hypothesis import settings
+except ImportError:  # the docs check runs with pytest alone
+    pass
+else:
+    # HYPOTHESIS_PROFILE=ci runs five times the default examples in
+    # every property that does not pin its own count, such as the
+    # differential properties of the per-link Delaunay kernel.
+    settings.register_profile("ci", max_examples=500)
+    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -369,16 +369,19 @@ class TestPhaseProfiler:
     def test_ldtg_construction_is_charged_to_its_own_phase(self, monkeypatch):
         """The LDTG is timed as ``ldt``: its per-epoch construction, not
         as the UDG rebuild that shares its snapshot, and its per-node
-        evaluation (the triangulations), not as the protocol decision
-        that asks for a node's LDTG neighbours."""
+        evaluation (the per-link kernel and any fallback triangulation),
+        not as the protocol decision that asks for a node's LDTG
+        neighbours."""
         from repro.experiments.runner import run_single
         from repro.experiments.scenarios import Scenario
         from repro.graphs import ldt
         from repro.sim import neighbors
 
         build = neighbors.local_delaunay_graph
+        kernel = ldt.delaunay_link
         triangulate = ldt.delaunay_edges
         builds = []
+        kernel_calls = []
         triangulations = []
 
         def slow_build(*args, **kwargs):
@@ -386,25 +389,34 @@ class TestPhaseProfiler:
             time.sleep(0.01)
             return build(*args, **kwargs)
 
+        def slow_kernel(*args):
+            kernel_calls.append(1)
+            time.sleep(0.01)
+            return kernel(*args)
+
         def slow_triangulate(points):
             triangulations.append(1)
             time.sleep(0.01)
             return triangulate(points)
 
         monkeypatch.setattr(neighbors, "local_delaunay_graph", slow_build)
+        monkeypatch.setattr(ldt, "delaunay_link", slow_kernel)
         monkeypatch.setattr(ldt, "delaunay_edges", slow_triangulate)
         profiler = PhaseProfiler()
+        # At 250 m some links have a node inside the circle on their
+        # diameter, so the kernel decides them (11 evaluations).
         scenario = Scenario(
-            n_nodes=10, active_nodes=5, radius=150.0, message_count=2,
+            n_nodes=10, active_nodes=5, radius=250.0, message_count=2,
             sim_time=15.0, seed=3,
         )
         run_single(scenario, "glr", profiler=profiler)
         snap = profiler.snapshot()
-        assert builds and triangulations
-        slept = 0.01 * (len(builds) + len(triangulations))
-        assert snap[PHASE_LDT] >= slept
+        # The kernel itself ran: the test does not rest on fallbacks.
+        assert builds and kernel_calls
+        evaluations = len(kernel_calls) + len(triangulations)
+        assert snap[PHASE_LDT] >= 0.01 * (len(builds) + evaluations)
         assert snap[PHASE_UDG] < 0.01 * len(builds)
-        assert snap[PHASE_PROTOCOL] < 0.01 * len(triangulations)
+        assert snap[PHASE_PROTOCOL] < 0.01 * evaluations
 
     def test_aggregate_sums_per_cell_and_skips_unprofiled(self):
         records = [

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.geometry.delaunay import (
     _all_collinear,
-    _super_triangle,
+    super_triangle,
     delaunay_triangulation,
 )
 from repro.geometry.predicates import (
@@ -75,7 +75,7 @@ def oracle_delaunay_triangulation(points: Iterable[Point]) -> Triangulation:
         return tri
 
     # Indices len(distinct) .. len(distinct)+2 are the super-triangle.
-    s0, s1, s2 = _super_triangle(distinct)
+    s0, s1, s2 = super_triangle(distinct)
     vertices = distinct + [s0, s1, s2]
     n = len(distinct)
 

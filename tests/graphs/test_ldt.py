@@ -11,6 +11,7 @@ The load-bearing claims from the paper that we verify:
   construction it replaced answered, however it is queried.
 """
 
+import math
 import random
 
 import pytest
@@ -302,43 +303,171 @@ class TestLazyMatchesEager:
             assert_lazy_matches_eager(positions_of(pts), 300.0, 2, rng)
 
 
+def assert_has_matches_triangulation(positions, radius, k):
+    """Per snapshot kind: for every UDG link inside every k-hop set, the
+    per-link answer is membership in that set's triangulation."""
+    for kind in SNAPSHOTS:
+        udg = snapshot(kind, positions, radius)
+        ldt = local_delaunay_graph(positions, radius, k=k, udg=udg)
+        for x in positions:
+            hood = udg.k_hop_neighborhood(x, k) | {x}
+            expected = eager_local_delaunay_edges_of(udg, x, k)
+            for u in hood:
+                for v in udg.neighbors(u) & hood:
+                    link = frozenset((u, v))
+                    assert ldt.has(x, link) == (link in expected), (
+                        kind, x, sorted(link)
+                    )
+
+
+class TestPerLinkAnswers:
+    @pytest.mark.parametrize("density", sorted(DENSITIES))
+    def test_random_placements(self, density):
+        n, radius = DENSITIES[density]
+        for seed in range(200):
+            positions = positions_of(random_points(n, seed))
+            assert_has_matches_triangulation(positions, radius, 2)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_other_localities(self, k):
+        for seed in range(30):
+            positions = positions_of(random_points(18, seed))
+            assert_has_matches_triangulation(positions, 360.0, k)
+
+    def test_near_cocircular(self):
+        # Twelve nodes on a 150 m circle, each nudged by 0 to 1 um:
+        # in-circle tests on the edge of the tolerance band.
+        for seed in range(30):
+            rng = random.Random(seed)
+            pts = [
+                Point(
+                    500.0 + 150.0 * math.cos(a) + rng.uniform(-1e-6, 1e-6),
+                    500.0 + 150.0 * math.sin(a) + rng.uniform(-1e-6, 1e-6),
+                )
+                for a in sorted(rng.uniform(0, 2 * math.pi) for _ in range(12))
+            ]
+            pts.append(Point(500.0, 500.0))
+            for radius in (160.0, 320.0):
+                assert_has_matches_triangulation(positions_of(pts), radius, 2)
+
+    def test_flat_strips(self):
+        # Nodes along a road 1 m wide: circles through near-collinear
+        # triples reach the super-triangle, where the triangulation
+        # drops even links whose diameter circle is empty.
+        for seed in range(300):
+            rng = random.Random(seed)
+            pts = [
+                Point(rng.uniform(0, 300.0), rng.uniform(0, 1.0))
+                for _ in range(rng.randrange(3, 8))
+            ]
+            assert_has_matches_triangulation(positions_of(pts), 320.0, 2)
+
+    @pytest.mark.parametrize("radius", [75.0, 110.0, 160.0])
+    def test_square_lattice(self, radius):
+        # Every unit square is an exactly cocircular quadruple.
+        pts = [Point(50.0 * i, 50.0 * j) for i in range(5) for j in range(5)]
+        assert_has_matches_triangulation(positions_of(pts), radius, 2)
+
+    def test_colocated_duplicates(self):
+        for seed in range(40):
+            rng = random.Random(seed)
+            pts = random_points(14, seed)
+            for _ in range(4):
+                pts.append(pts[rng.randrange(len(pts))])
+            assert_has_matches_triangulation(positions_of(pts), 360.0, 2)
+
+    def test_collinear_clusters(self):
+        for seed in range(20):
+            pts = random_points(10, seed)
+            pts += [Point(400.0 + 30.0 * i, 500.0) for i in range(6)]
+            pts += [Point(100.0, 100.0 + 25.0 * i) for i in range(4)]
+            assert_has_matches_triangulation(positions_of(pts), 300.0, 2)
+
+
 class TestMemoisation:
-    def counting(self, monkeypatch):
-        calls = []
+    """The per-link answers are evaluated once and only when asked.
 
-        def counted(points):
-            calls.append(len(points))
-            return delaunay_edges(points)
+    ``calls`` records each kernel evaluation as its link's endpoints
+    and each fallback triangulation as the size of its point set.
+    """
 
-        monkeypatch.setattr(ldt_mod, "delaunay_edges", counted)
-        return calls
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        record = {"kernel": [], "triangulated": []}
+        kernel = ldt_mod.delaunay_link
+        triangulate = ldt_mod.delaunay_edges
 
-    def test_identical_k_hop_sets_triangulate_once(self, monkeypatch):
-        # Three nodes all in range of each other: every 2-hop set is
-        # {0, 1, 2}, so one triangulation serves every vote.
-        positions = {0: Point(0, 0), 1: Point(10, 0), 2: Point(5, 8)}
-        calls = self.counting(monkeypatch)
-        ldt = local_delaunay_graph(positions, radius=20.0, k=2)
-        assert calls == []
-        assert ldt.neighbors(0) == {1, 2}
-        assert ldt.neighbors(1) == {0, 2}
-        assert calls == [3]
-        assert ldt.edge_count() == 3
-        assert calls == [3]
+        def counted_kernel(u, v, others, ghosts):
+            record["kernel"].append(frozenset((u, v)))
+            return kernel(u, v, others, ghosts)
 
-    def test_one_query_triangulates_only_what_its_vote_reads(
-        self, monkeypatch
-    ):
-        # Two clusters far apart: a query in one never triangulates the
-        # other, and an isolated node triangulates nothing.
-        positions = {
-            0: Point(0, 0), 1: Point(10, 0), 2: Point(5, 8),
-            3: Point(500, 0), 4: Point(510, 0), 5: Point(505, 8),
-            6: Point(900, 900),
-        }
-        calls = self.counting(monkeypatch)
-        ldt = local_delaunay_graph(positions, radius=20.0, k=2)
-        assert ldt.neighbors(3) == {4, 5}
-        assert calls == [3]
-        assert ldt.neighbors(6) == set()
-        assert calls == [3]
+        def counted_triangulate(points):
+            record["triangulated"].append(len(points))
+            return triangulate(points)
+
+        monkeypatch.setattr(ldt_mod, "delaunay_link", counted_kernel)
+        monkeypatch.setattr(ldt_mod, "delaunay_edges", counted_triangulate)
+        return record
+
+    #: Four nodes in range of each other, in convex position but not on
+    #: one circle: every 2-hop set is all four, the sides are decided by
+    #: the Gabriel shortcut and the two diagonals by the kernel.
+    KITE = {0: Point(0, 0), 1: Point(10, 0), 2: Point(12, 12), 3: Point(0, 10)}
+
+    def test_one_kernel_evaluation_per_k_hop_set_and_link(self, calls):
+        ldt = local_delaunay_graph(self.KITE, radius=30.0, k=2)
+        assert calls["kernel"] == []
+        assert ldt.neighbors(0) == {1, 3}
+        diagonal = frozenset((self.KITE[0], self.KITE[2]))
+        assert calls["kernel"] == [diagonal]
+        assert ldt.edge_count() == 5
+        other = frozenset((self.KITE[1], self.KITE[3]))
+        assert calls["kernel"] in ([diagonal, other], [other, diagonal])
+        assert calls["triangulated"] == []
+
+    def test_identical_k_hop_sets_share_answers(self, calls):
+        ldt = local_delaunay_graph(self.KITE, radius=30.0, k=2)
+        for node in self.KITE:
+            ldt.neighbors(node)
+        # Every node asked about both diagonals (as endpoint or witness).
+        assert len(calls["kernel"]) == 2
+        link = frozenset((0, 2))
+        assert {ldt.has(node, link) for node in self.KITE} == {False}
+        assert len(calls["kernel"]) == 2
+
+    def test_unqueried_cluster_costs_nothing(self, calls):
+        # Two kites far apart and an isolated node: a query in one kite
+        # never evaluates the other, and the isolated node evaluates
+        # nothing.
+        positions = dict(self.KITE)
+        positions.update(
+            {n + 4: Point(p.x + 500.0, p.y) for n, p in self.KITE.items()}
+        )
+        positions[8] = Point(900, 900)
+        ldt = local_delaunay_graph(positions, radius=30.0, k=2)
+        assert ldt.neighbors(5) == {4, 6, 7}
+        assert len(calls["kernel"]) == 1
+        assert all(p.x >= 500.0 for link in calls["kernel"] for p in link)
+        assert ldt.neighbors(8) == set()
+        assert len(calls["kernel"]) == 1
+        assert calls["triangulated"] == []
+
+    def test_small_and_duplicate_k_hop_sets_fall_back(self, calls):
+        pair = {0: Point(0, 0), 1: Point(5, 0)}
+        ldt = local_delaunay_graph(pair, radius=10.0, k=2)
+        assert ldt.neighbors(0) == {1}
+        assert ldt.neighbors(1) == {0}
+        assert calls == {"kernel": [], "triangulated": [2]}
+
+        shared = {0: Point(0, 0), 1: Point(10, 0), 2: Point(5, 8), 3: Point(5, 8)}
+        ldt = local_delaunay_graph(shared, radius=20.0, k=2)
+        reference = eager_local_delaunay_graph(shared, 20.0)
+        assert ldt.adjacency == {n: reference.neighbors(n) for n in shared}
+        assert calls == {"kernel": [], "triangulated": [2, 4]}
+
+    def test_general_position_never_falls_back(self, calls):
+        positions = positions_of(random_points(40, 3))
+        ldt = local_delaunay_graph(positions, radius=300.0, k=2)
+        assert ldt.edge_count() > 0
+        assert calls["kernel"]
+        assert calls["triangulated"] == []
