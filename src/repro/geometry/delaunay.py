@@ -1,17 +1,13 @@
 """Delaunay triangulation via the Bowyer–Watson incremental algorithm.
 
 This is the ``A(N)`` operator of the paper: the (global) Delaunay
-triangulation of a point set ``N``.  The k-LDTG construction in
-:mod:`repro.graphs.ldt` asks it about k-hop neighbourhoods of tens of
-points, and it was the largest cost of a GLR run (58% of the traced
-self time on the paper's Table 1 scenario).  The LDTG only needs to
-know whether one link is an edge, so :func:`delaunay_link` answers that
-directly with a few empty-circle tests, and the triangulation remains
-the reference and the fallback for the degenerate neighbourhoods the
-per-link test leaves undecided.  The O(n^2) incremental algorithm below
-is kept as the textbook states it, so it stays easy to audit; the
-conflict scan reads each triangle's vertex points directly, and
-:func:`~repro.geometry.predicates.in_circle` rejects a non-positive
+triangulation of a point set ``N``.  The k-LDTG in :mod:`repro.graphs.ldt`
+decides its links from per-link circle parameters, and triangulates
+only the k-hop neighbourhoods those leave undecided (171 of 122 198
+questions on the paper's Table 1 scenario).  The O(n^2) incremental
+algorithm below is kept as the textbook states it, so it stays easy to
+audit; the conflict scan reads each triangle's vertex points directly,
+and :func:`~repro.geometry.predicates.in_circle` rejects a non-positive
 determinant before computing its error scale.
 
 Degenerate inputs are handled explicitly:
@@ -22,9 +18,9 @@ Degenerate inputs are handled explicitly:
 - duplicate points are collapsed before triangulating.
 
 Bowyer–Watson starts from a finite :func:`super_triangle`, and so
-loses a convex-hull edge of 0.5–4% of random local point sets; the
-per-link test reproduces that loss by taking the super-triangle's
-vertices as ghost points, so both can be fixed in one place.
+loses a convex-hull edge of 0.5–4% of random local point sets;
+:func:`delaunay_link` reproduces that loss for the LDTG, so both can be
+fixed in one place.
 """
 
 from __future__ import annotations
@@ -199,94 +195,52 @@ def delaunay_edges(points: Sequence[Point]) -> set[Edge]:
 
 
 def delaunay_link(
-    u: Point, v: Point, others: Iterable[Point], ghosts: Sequence[Point] = ()
+    u: Point, v: Point, left: Point | None, right: Point | None, ghosts: Sequence[Point]
 ) -> bool | None:
-    """Whether ``uv`` is an edge of a Delaunay triangle of a point set.
+    """Whether Bowyer–Watson keeps ``uv``, a Delaunay link of a point set, as a side of a
+    triangle without a :func:`super_triangle` vertex.
 
-    The set is ``{u, v} ∪ others ∪ ghosts``.  ``ghosts`` take part in
-    every empty-circle test like ordinary points, but a triangle with a
-    ghost vertex does not count.  Passed the :func:`super_triangle` of
-    ``{u, v} ∪ others``, the answer is what :func:`delaunay_edges` says
-    about ``uv``, whenever that output has a triangle at all.
-
-    ``uv`` is a Delaunay edge iff no point right of ``u -> v`` lies
-    strictly inside the circle through ``u``, ``v`` and ``l*``, the left
-    point whose circle through ``u`` and ``v`` holds no other left
-    point; the right side's ``r*`` is found the same way when ``l*`` is
-    a ghost.  That costs about one in-circle test per point, against a
-    whole triangulation per question.
-
-    Returns None (undecided) when a point is collinear with ``uv``, when
-    a side has no points, or when any in-circle decision falls inside
-    the predicates' tolerance band (cocircular ties, where the
-    triangulation picks a diagonal by insertion order).
+    ``left`` and ``right`` are the apexes of ``uv``: on each side of ``u -> v``, the point whose
+    circle through ``u`` and ``v`` holds no other point of the set (None for an empty side).  An
+    apex's triangle is kept iff its circle holds none of the set's super-triangle ``ghosts``,
+    which one in-circle test decides.  None when no circle is clearly free of them and a test
+    falls in its tolerance band.
     """
-    left: list[Point] = []
-    right: list[Point] = []
-    if not _split(u, v, others, left, right):
-        return None
-    real_left, real_right = len(left), len(right)
-    if not _split(u, v, ghosts, left, right) or not left or not right:
-        return None
-    best = _emptiest(u, v, left)
-    if best is None:
-        return None
-    apex = left[best]
-    for p in right:
-        # (v, u, apex) runs clockwise: in_circle then means strictly
-        # outside, which most points are, so it is asked first.
-        if in_circle(v, u, apex, p):
+    tie = False
+    for a, b, apex in ((u, v, left), (v, u, right)):
+        if apex is None:
             continue
-        return False if in_circle(u, v, apex, p) else None
-    if best < real_left:
-        return True
-    # uv is Delaunay but its left triangle has a ghost vertex: it is
-    # kept only if its right triangle has none.
-    best = _emptiest(v, u, right)
-    if best is None:
-        return None
-    return best < real_right
+        ghost = _first_reached(a, b, apex, ghosts)
+        # (b, a, apex) runs clockwise: in_circle then means strictly
+        # outside, which the ghost mostly is, so it is asked first.
+        if in_circle(b, a, apex, ghost):
+            return True
+        tie = tie or not in_circle(a, b, apex, ghost)
+    return None if tie else False
 
 
-def _split(
-    u: Point, v: Point, points: Iterable[Point], left: list, right: list
-) -> bool:
-    """Append ``points`` to the side of ``u -> v`` they lie on; False
-    as soon as one is collinear with ``uv``."""
-    for p in points:
-        turn = orientation(u, v, p)
-        if turn == Orientation.COUNTERCLOCKWISE:
-            left.append(p)
-        elif turn == Orientation.CLOCKWISE:
-            right.append(p)
-        else:
-            return False
-    return True
+def _first_reached(a: Point, b: Point, apex: Point, ghosts: Sequence[Point]) -> Point:
+    """The ghost that circles through ``a`` and ``b`` take in first as their centre moves out to
+    that of the circle through ``apex`` (left of ``a -> b``): that circle holds a ghost iff it
+    holds this one.  Its centre is on ``apex``'s side iff the angle at ``apex`` is acute, and a
+    ghost on that side is taken in at ``|τ|`` (:mod:`repro.graphs.ldt`)."""
+    toward = (apex.x - a.x) * (apex.x - b.x) + (apex.y - a.y) * (apex.y - b.y)
 
+    def taken_in_at(g: Point) -> float:
+        s = (b.x - a.x) * (g.y - a.y) - (b.y - a.y) * (g.x - a.x)
+        d = (g.x - a.x) * (g.x - b.x) + (g.y - a.y) * (g.y - b.y)
+        return d / abs(s) if s * toward > 0.0 else math.inf
 
-def _emptiest(a: Point, b: Point, side: Sequence[Point]) -> int | None:
-    """Index of the point of ``side`` (all left of ``a -> b``) whose
-    circle through ``a`` and ``b`` holds no other; None on a tie."""
-    best = 0
-    apex = side[0]
-    for i in range(1, len(side)):
-        p = side[i]
-        if in_circle(b, a, apex, p):
-            continue
-        if not in_circle(a, b, apex, p):
-            return None
-        best, apex = i, p
-    return best
+    return min(ghosts, key=taken_in_at)
 
 
 def anchors_real_triangle(u: Point, v: Point, w: Point) -> bool:
-    """Whether ``w`` puts a triangle without super-triangle vertex on its
-    side of ``uv``, if ``uv`` is a Delaunay edge of a set holding ``w``.
+    """Whether ``w`` puts a triangle without super-triangle vertex on its side of ``uv``, if ``uv``
+    is a Delaunay edge of a set holding ``w``.
 
-    The best apex on ``w``'s side has a circle through ``u`` and ``v``
-    no larger there than ``w``'s.  ``w``'s circumradius is at most 35
-    times the triangle's longest side, so its circle lies within
-    ``70 * sqrt(2)`` box sides of the set's bounding box, while the
+    The best apex on ``w``'s side has a circle through ``u`` and ``v`` no larger there than
+    ``w``'s.  ``w``'s circumradius is at most 35 times the triangle's longest side, so its circle
+    lies within ``70 * sqrt(2)`` box sides of the set's bounding box, while the
     :func:`super_triangle` vertices lie 199 or more away.
     """
     uv = distance_sq(u, v)

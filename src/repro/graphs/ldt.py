@@ -24,34 +24,34 @@ Each node's decision uses only its k-hop neighbourhood — the algorithm is
 k-local in the paper's sense, and :class:`LocalDelaunayGraph` evaluates
 it node by node, the first time a node's adjacency is read.
 
-The vote never needs a whole triangulation: it asks whether one UDG
-link ``uv`` is an edge of ``A(Nk(x))``, about 8 times per neighbourhood.
-:meth:`LocalDelaunayGraph.has` answers each (k-hop set, link) once:
-
-1. **Gabriel shortcut.**  If no node of ``Nk(x)`` is inside the circle
-   on diameter ``uv`` (the candidates are ``u`` and ``v``'s common UDG
-   neighbours, cached per link), ``uv`` is Delaunay; one more node with
-   a small circle through ``u`` and ``v`` makes sure a triangle without
-   super-triangle vertex borders it.
-2. **Per-link kernel.**  Otherwise
-   :func:`~repro.geometry.delaunay.delaunay_link` runs a few
-   empty-circle tests against ``Nk(x)`` and its super-triangle.
-3. **Fallback.**  ``Nk(x)`` with fewer than 3 nodes or two nodes at one
-   position, an undecided kernel (cocircular or collinear ties), or a
-   "no" where ``A(Nk(x))`` might have no triangle at all is answered by
-   triangulating ``Nk(x)`` with
-   :func:`~repro.geometry.delaunay.delaunay_edges`, as before.
-
-Every answer equals the triangulation's, hull-edge loss included (short
-of predicates on the very edge of their tolerance band), so the LDTG is
-unchanged.  On the paper's Table 1 scenario (GLR, 600 s,
-seed 1) the shortcut answers 86 082 of 122 198 questions, the kernel
-35 945, and 171 small neighbourhoods are triangulated, against 15 043
-triangulations when every neighbourhood was.
+The vote asks whether one UDG link ``uv`` is an edge of ``A(Nk(x))``;
+:meth:`LocalDelaunayGraph.has` answers each (k-hop set, link) once.
+Circles through ``u`` and ``v`` have their centres at ``m + t·n``, with
+``m`` the midpoint of ``uv`` and ``n = perp(v − u)``.  A node ``w`` left
+of ``u -> v`` is strictly inside the circle at ``t`` iff ``t > τ(w)``, a
+node right of it iff ``t < τ(w)``, with ``τ(w) = (|w−m|² − |u−m|²) /
+(2·n·(w−m))``: ``uv`` is a Delaunay edge of a set iff its largest right
+``τ`` is below its smallest left one.  A table per link and snapshot
+holds ``τ`` once for each node any asking set contains, so a question
+reads a min and a max.  Bowyer–Watson's super-triangle takes part in its
+circle tests; when an apex circle may reach it (a large ``|t|``, or a
+side without nodes), :func:`~repro.geometry.delaunay.delaunay_link`
+decides.  Sets of fewer than 3 nodes or with two at one position, a
+node within twice ``orientation``'s collinear band of the line ``uv``,
+near-ties of the ``τ`` the answer or an apex rests on, and a "no" where
+``A(Nk(x))`` may have no triangle at all are answered by triangulating
+with :func:`~repro.geometry.delaunay.delaunay_edges`.  So every answer
+is the triangulation's, hull-edge loss included, unless one of its
+circle tests falls in its tolerance band, where this answer is exact.
+On the paper's Table 1 scenario (GLR, 600 s, seed 1) the 122 198
+questions fill 362 543 ``τ``, 13 740 ask the super-triangle and 171
+small neighbourhoods are triangulated.
 """
 
 from __future__ import annotations
 
+import math
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from repro.geometry.delaunay import (
@@ -60,12 +60,15 @@ from repro.geometry.delaunay import (
     delaunay_link,
     super_triangle,
 )
+from repro.geometry.predicates import _EPS
 from repro.geometry.primitives import Point, distance_sq
 from repro.graphs.udg import NodeId, SpatialGraph, unit_disk_graph
 
-#: Relative margin on the squared radius of the circle on diameter uv:
-#: a common neighbour counts as outside it only beyond this margin.
-_GABRIEL_MARGIN = 1e-9
+#: A node is in a link's collinear band when its orientation determinant
+#: is within this fraction of the determinant's terms (plus one); the
+#: slack of its ``τ``, relative to the terms, is thousands of times a
+#: bound on its rounding error.
+_BAND, _TIE = 2.0 * _EPS, 1e-12
 
 
 def _delaunay_links(udg: SpatialGraph, members: Iterable[NodeId]) -> set[frozenset]:
@@ -92,6 +95,73 @@ def local_delaunay_edges_of(
     return _delaunay_links(udg, udg.k_hop_neighborhood(node, k) | {node})
 
 
+class LinkCircles:
+    """The ``τ`` of one link's nodes (module doc), for one snapshot.
+
+    The link runs from ``u`` to ``v``, its ends ordered by the ``repr`` of their ids.  ``left``
+    holds ``(τ - slack, τ, slack, node)`` for the nodes left of ``u -> v`` in increasing order,
+    ``right`` holds ``(τ + slack, τ, slack, node)`` for those right of it in decreasing order;
+    two ``τ`` closer than their summed slacks tie, so a side's first entry that no later one ties
+    with is its extreme.  ``band`` holds the collinear band's nodes, ``known`` every node placed.
+    """
+
+    __slots__ = ("u", "v", "reach", "known", "left", "right", "band")
+
+    def __init__(self, link: frozenset, positions: Mapping[NodeId, Point]):
+        ends = sorted(link, key=repr)
+        self.u, self.v = u, v = positions[ends[0]], positions[ends[1]]
+        # The circle at t lies within D + (2|t| + 1/2)·|uv| of the centre
+        # of the box of a set holding u and v, its super-triangle 200·D
+        # away, and D >= max(|uv| / sqrt(2), 1): so |t| < reach misses it.
+        length = math.hypot(v.x - u.x, v.y - u.y)
+        self.reach = (140.0 * max(length, 1.0) / length - 0.5) / 2.0
+        self.known = set(link)
+        self.left: list[tuple[float, float, float, NodeId]] = []
+        self.right: list[tuple[float, float, float, NodeId]] = []
+        self.band: set[NodeId] = set()
+
+    def add(self, nodes: set[NodeId], positions: Mapping[NodeId, Point]) -> None:
+        """Place ``nodes``, none of which is known yet."""
+        (ux, uy), (vx, vy) = (self.u.x, self.u.y), (self.v.x, self.v.y)
+        bx, by = vx - ux, vy - uy
+        left, right = self.left, self.right
+        for w in nodes:
+            p = positions[w]
+            ax, ay = p.x - ux, p.y - uy
+            # n·(w − m), with n = perp(v − u): orientation_value(u, v, w).
+            sl, sr = bx * ay, by * ax
+            s = sl - sr
+            size = abs(sl) + abs(sr)
+            s_abs = abs(s)
+            if s_abs <= _BAND * (size + 1.0):
+                self.band.add(w)
+                continue
+            # (w − u)·(w − v) = |w − m|² − |u − m|².
+            dx = ax * (p.x - vx)
+            dy = ay * (p.y - vy)
+            tau = (dx + dy) / (2.0 * s)
+            slack = _TIE * (abs(dx) + abs(dy)) * (s_abs + size) / (s_abs * s_abs)
+            if s > 0.0:
+                left.append((tau - slack, tau, slack, w))
+            else:
+                right.append((tau + slack, tau, slack, w))
+        self.known |= nodes
+        left.sort(key=itemgetter(0))
+        right.sort(key=itemgetter(0), reverse=True)
+
+
+def _apex(side: list, hood: frozenset) -> tuple:
+    """The ``(τ, slack, node)`` of the first entry of ``side`` whose node is in ``hood`` (None if
+    none), and whether the next such entry ties with it."""
+    first = None
+    for entry in side:
+        if entry[3] in hood:
+            if first is not None:
+                return first[1:], abs(entry[1] - first[1]) <= first[2] + entry[2]
+            first = entry
+    return first and first[1:], False
+
+
 class LocalDelaunayGraph(SpatialGraph):
     """The k-LDTG over one UDG snapshot, evaluated node by node.
 
@@ -99,10 +169,11 @@ class LocalDelaunayGraph(SpatialGraph):
     first time it is asked and caches the answer.  The vote asks
     :meth:`has` whether each link of ``node`` is in the local Delaunay
     triangulation of ``node``, of its UDG neighbour and of their
-    witnesses.  k-hop sets are cached per node and answers per distinct
-    (k-hop set, link), so nodes whose k-hop sets coincide share them.
-    Whole-graph reads (``adjacency``, ``edges()``, ``edge_count()``)
-    evaluate every node through the same path.
+    witnesses.  k-hop sets are cached per node, ``τ`` per (link, node)
+    and answers per distinct (k-hop set, link), so nodes whose k-hop
+    sets coincide share them.  Whole-graph reads (``adjacency``,
+    ``edges()``, ``edge_count()``) evaluate every node through the same
+    path.
 
     Like :class:`~repro.graphs.udg.ArraySpatialGraph`, this is a
     read-only snapshot: mutating it is unsupported.
@@ -117,9 +188,10 @@ class LocalDelaunayGraph(SpatialGraph):
         self.k = k
         self._hoods: dict[NodeId, frozenset] = {}
         self._answers: dict[frozenset, dict[frozenset, bool]] = {}
-        self._ghosts: dict[frozenset, tuple[Point, ...] | None] = {}
+        self._shared = len(set(udg.positions.values())) < len(udg.positions)
+        self._ghosts: dict[frozenset, tuple[Point, ...]] = {}
         self._triangulable: dict[frozenset, bool] = {}
-        self._blockers: dict[frozenset, set[NodeId]] = {}
+        self._circles: dict[frozenset, LinkCircles] = {}
         self._links: dict[frozenset, set[frozenset]] = {}
         self._adjacency: dict[NodeId, set[NodeId]] = {}
         self._complete = False
@@ -149,12 +221,9 @@ class LocalDelaunayGraph(SpatialGraph):
         return len(self.neighbors(node))
 
     def has(self, node: NodeId, link: frozenset) -> bool:
-        """Whether the UDG ``link`` is an edge of ``A(Nk(node))``.
-
-        Equal to ``link in local_delaunay_edges_of(udg, node, k)``, short
-        of predicates on the very edge of their tolerance band, which
-        Bowyer–Watson decides in its own vertex order.
-        """
+        """Whether the UDG ``link`` is an edge of ``A(Nk(node))``: equal
+        to ``link in local_delaunay_edges_of(udg, node, k)`` unless that
+        triangulation errs inside its tolerance band (module doc)."""
         return self._has(self._hood(node), link)
 
     def _has(self, hood: frozenset, link: frozenset) -> bool:
@@ -167,35 +236,51 @@ class LocalDelaunayGraph(SpatialGraph):
         return answer
 
     def _decide(self, hood: frozenset, link: frozenset) -> bool:
-        """Gabriel shortcut, then kernel, then fallback (module doc)."""
         u, v = link
         if u not in hood or v not in hood:
             return False
-        ghosts = self._ghosts_of(hood)
-        if ghosts is None:
-            return link in self._local_links(hood)
         positions = self._udg.positions
-        pu, pv = positions[u], positions[v]
-        if self._gabriel_blockers(link, pu, pv).isdisjoint(hood) and any(
-            w != u and w != v and anchors_real_triangle(pu, pv, positions[w])
-            for w in hood
-        ):
-            # The circle on diameter uv is empty, so uv is Delaunay, and
-            # the triangle on w's side has no super-triangle vertex.
-            return True
-        answer = delaunay_link(
-            pu,
-            pv,
-            [positions[w] for w in hood if w != u and w != v],
-            ghosts,
-        )
-        if answer is None or (
-            answer is False and not self._has_triangle(hood)
-        ):
+        answer = None  # Fewer than 3 nodes or two at one position: only A(hood) answers.
+        if len(hood) >= 3 and not (self._shared and len({positions[m] for m in hood}) < len(hood)):
+            answer = self._answer(hood, link, positions)
+        if answer is None or not (answer or self._has_triangle(hood)):
             # Undecided, or A(hood) may have no triangle at all, in
             # which case delaunay_edges answers with its collinear chain.
-            answer = link in self._local_links(hood)
+            return link in self._local_links(hood)
         return answer
+
+    def _answer(self, hood: frozenset, link: frozenset, positions: Mapping) -> bool | None:
+        """The answer from circle parameters and the super-triangle; None to triangulate."""
+        circles = self._circles.get(link)
+        if circles is None:
+            circles = self._circles[link] = LinkCircles(link, positions)
+        if not circles.known.issuperset(hood):
+            circles.add(hood - circles.known, positions)
+        if not circles.band.isdisjoint(hood):
+            return None
+        left, left_tie = _apex(circles.left, hood)
+        right, right_tie = _apex(circles.right, hood)
+        if left and right:
+            if abs(left[0] - right[0]) <= left[1] + right[1]:
+                return None
+            if left[0] < right[0]:
+                return False
+        if left_tie or right_tie:
+            return None
+        # uv is a Delaunay edge of hood.  The circle of a side without
+        # nodes reaches the super-triangle.
+        if left and right and circles.reach > max(abs(left[0]) + left[1], abs(right[0]) + right[1]):
+            return True
+        ghosts = self._ghosts.get(hood)
+        if ghosts is None:
+            ghosts = self._ghosts[hood] = super_triangle([positions[m] for m in hood])
+        return delaunay_link(
+            circles.u,
+            circles.v,
+            None if left is None else positions[left[2]],
+            None if right is None else positions[right[2]],
+            ghosts,
+        )
 
     def _hood(self, node: NodeId) -> frozenset:
         """``Nk(node)``, including ``node``."""
@@ -206,31 +291,10 @@ class LocalDelaunayGraph(SpatialGraph):
             )
         return hood
 
-    def _ghosts_of(self, hood: frozenset) -> tuple[Point, ...] | None:
-        """The super-triangle of ``hood``; None when ``hood`` has fewer
-        than 3 nodes or two at one position, which only a whole
-        triangulation answers."""
-        try:
-            return self._ghosts[hood]
-        except KeyError:
-            pass
-        positions = self._udg.positions
-        points = [positions[m] for m in hood]
-        ghosts = None
-        if len(points) >= 3 and len(set(points)) == len(points):
-            ghosts = super_triangle(points)
-        self._ghosts[hood] = ghosts
-        return ghosts
-
     def _has_triangle(self, hood: frozenset) -> bool:
-        """Whether ``A(hood)`` surely has a triangle without a
-        super-triangle vertex (so ``delaunay_edges`` reports its edges
-        rather than a collinear chain).
-
-        ``a`` and its nearest point ``b`` span a Delaunay edge; a third
-        point with a small circle through ``a`` and ``b`` puts a real
-        triangle on that side of it.
-        """
+        """Whether ``A(hood)`` surely has a triangle without a super-triangle vertex: ``a`` and
+        its nearest point ``b`` span a Delaunay edge, and a third point with a small circle
+        through them puts one on its side."""
         known = self._triangulable.get(hood)
         if known is None:
             positions = self._udg.positions
@@ -240,25 +304,6 @@ class LocalDelaunayGraph(SpatialGraph):
                 anchors_real_triangle(a, b, c) for c in rest if c != b
             )
         return known
-
-    def _gabriel_blockers(
-        self, link: frozenset, pu: Point, pv: Point
-    ) -> set[NodeId]:
-        """Common UDG neighbours of ``link`` not clearly outside the
-        circle on diameter ``uv`` (every node inside that circle is a
-        neighbour of both ends)."""
-        blockers = self._blockers.get(link)
-        if blockers is None:
-            u, v = link
-            mid = Point((pu.x + pv.x) / 2.0, (pu.y + pv.y) / 2.0)
-            limit = distance_sq(pu, pv) / 4.0 * (1.0 + _GABRIEL_MARGIN)
-            positions = self._udg.positions
-            blockers = self._blockers[link] = {
-                w
-                for w in self._udg.neighbors(u) & self._udg.neighbors(v)
-                if distance_sq(positions[w], mid) <= limit
-            }
-        return blockers
 
     def _local_links(self, hood: frozenset) -> set[frozenset]:
         """``A(hood)`` restricted to UDG links: the fallback."""

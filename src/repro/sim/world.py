@@ -30,7 +30,10 @@ from repro.sim.stats import MetricsCollector, SimulationMetrics
 from repro.telemetry.profile import (
     NULL_PROFILER,
     PHASE_DELIVERY,
+    PHASE_EVENT_LOOP,
+    PHASE_MOBILITY,
     PHASE_PROTOCOL,
+    charged,
 )
 
 
@@ -276,6 +279,7 @@ class World:
         self.adversary = adversary
         self.adversaries: dict[NodeId, Protocol] = {}
 
+        position = charged(self.profiler, PHASE_MOBILITY, mobility.position)
         for node in mobility.node_ids:
             protocol = protocol_factory(node)
             if adversary is not None and node in adversary.nodes:
@@ -292,7 +296,7 @@ class World:
                 radio=self.config.radio,
                 config=self.config.mac,
                 node_id=node,
-                position_fn=mobility.position,
+                position_fn=position,
                 deliver=self._dispatch,
                 rng=derive_rng(self.config.seed, repr(node), "mac"),
                 stats=stats,
@@ -355,7 +359,9 @@ class World:
             for protocol in self.protocols.values():
                 protocol.start()
             self._started = True
+        t0 = self.profiler.start()
         self.sim.run(until=until)
+        self.profiler.add(PHASE_EVENT_LOOP, t0)
 
         t0 = self.profiler.start()
         for node, protocol in self.protocols.items():

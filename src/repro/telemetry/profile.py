@@ -1,11 +1,11 @@
 """Opt-in per-task phase profiler for the simulation hot path.
 
-The ROADMAP's vectorization work needs to know *where* a task's wall
-time goes — mobility stepping, UDG/beacon rebuild, LDTG construction,
-MAC contention, protocol decisions, delivery bookkeeping — not just the
-total.  This module provides ``perf_counter_ns`` accumulators that the
-engine threads through :class:`~repro.sim.world.World` and its
-subsystems.
+Performance work needs to know *where* a task's wall time goes —
+mobility stepping, UDG/beacon rebuild, LDTG construction, MAC
+contention, protocol decisions, delivery bookkeeping, and the event
+loop that dispatches them — not just the total.  This module provides
+``perf_counter_ns`` accumulators that the engine threads through
+:class:`~repro.sim.world.World` and its subsystems.
 
 Two hard requirements shape the design:
 
@@ -18,8 +18,11 @@ Two hard requirements shape the design:
   frame to the MAC, whose send path runs inside the decision's call
   frame), so the enabled profiler keeps a stack of child-time
   accumulators and charges each phase only its own time.  Phase totals
-  therefore sum to at most the task's wall time instead of
-  double-counting nested work.
+  therefore sum to the task's wall time instead of double-counting
+  nested work: ``event_loop`` brackets the whole calendar run, so it
+  takes every moment of it that no other phase claims (dispatch, timer
+  bookkeeping), and :func:`charged` moves a callee's time to its own
+  phase (the MAC's position reads to ``mobility``).
 
 The snapshot rides on the task's stream record as a ``phase_profile``
 field — beside ``wall_time_s``/``cached`` provenance, *not* inside the
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 #: Set (to anything but "" or "0") to profile every task's phases.
 PROFILE_ENV = "REPRO_PROFILE_PHASES"
@@ -42,6 +45,7 @@ PHASE_LDT = "ldt"
 PHASE_MAC = "mac"
 PHASE_PROTOCOL = "protocol"
 PHASE_DELIVERY = "delivery"
+PHASE_EVENT_LOOP = "event_loop"
 
 #: Every phase the hot path instruments, in display order.
 PHASES = (
@@ -51,6 +55,7 @@ PHASES = (
     PHASE_MAC,
     PHASE_PROTOCOL,
     PHASE_DELIVERY,
+    PHASE_EVENT_LOOP,
 )
 
 
@@ -121,6 +126,22 @@ class _NullProfiler:
 
 #: The shared no-op instance (stateless, safe to share everywhere).
 NULL_PROFILER = _NullProfiler()
+
+
+def charged(profiler, phase: str, fn: Callable) -> Callable:
+    """``fn``, its calls charged to ``phase`` when ``profiler`` is on;
+    ``fn`` itself when it is off, so an off profiler costs nothing."""
+    if not profiler.enabled:
+        return fn
+
+    def timed(*args, **kwargs):
+        t0 = profiler.start()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            profiler.add(phase, t0)
+
+    return timed
 
 
 def profiling_enabled() -> bool:

@@ -16,9 +16,10 @@ except ImportError:  # the docs check runs with pytest alone
     pass
 else:
     # HYPOTHESIS_PROFILE=ci runs five times the default examples in
-    # every property that does not pin its own count, such as the
-    # differential properties of the per-link Delaunay kernel.
-    settings.register_profile("ci", max_examples=500)
+    # every property that does not pin its own count, such as the LDTG's
+    # per-link properties, and prints a @reproduce_failure blob with
+    # each failure so it can be replayed.
+    settings.register_profile("ci", max_examples=500, print_blob=True)
     settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 

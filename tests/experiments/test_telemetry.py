@@ -21,14 +21,17 @@ from repro.telemetry.events import (
 )
 from repro.telemetry.profile import (
     NULL_PROFILER,
+    PHASE_EVENT_LOOP,
     PHASE_LDT,
     PHASE_MAC,
+    PHASE_MOBILITY,
     PHASE_PROTOCOL,
     PHASE_UDG,
     PHASES,
     PROFILE_ENV,
     PhaseProfiler,
     aggregate_phase_profiles,
+    charged,
     make_profiler,
     profiling_enabled,
 )
@@ -369,19 +372,19 @@ class TestPhaseProfiler:
     def test_ldtg_construction_is_charged_to_its_own_phase(self, monkeypatch):
         """The LDTG is timed as ``ldt``: its per-epoch construction, not
         as the UDG rebuild that shares its snapshot, and its per-node
-        evaluation (the per-link kernel and any fallback triangulation),
-        not as the protocol decision that asks for a node's LDTG
-        neighbours."""
+        evaluation (the per-link circle parameters and any fallback
+        triangulation), not as the protocol decision that asks for a
+        node's LDTG neighbours."""
         from repro.experiments.runner import run_single
         from repro.experiments.scenarios import Scenario
         from repro.graphs import ldt
         from repro.sim import neighbors
 
         build = neighbors.local_delaunay_graph
-        kernel = ldt.delaunay_link
+        fill = ldt.LinkCircles.add
         triangulate = ldt.delaunay_edges
         builds = []
-        kernel_calls = []
+        fills = []
         triangulations = []
 
         def slow_build(*args, **kwargs):
@@ -389,10 +392,10 @@ class TestPhaseProfiler:
             time.sleep(0.01)
             return build(*args, **kwargs)
 
-        def slow_kernel(*args):
-            kernel_calls.append(1)
+        def slow_fill(*args):
+            fills.append(1)
             time.sleep(0.01)
-            return kernel(*args)
+            return fill(*args)
 
         def slow_triangulate(points):
             triangulations.append(1)
@@ -400,23 +403,82 @@ class TestPhaseProfiler:
             return triangulate(points)
 
         monkeypatch.setattr(neighbors, "local_delaunay_graph", slow_build)
-        monkeypatch.setattr(ldt, "delaunay_link", slow_kernel)
+        monkeypatch.setattr(ldt.LinkCircles, "add", slow_fill)
         monkeypatch.setattr(ldt, "delaunay_edges", slow_triangulate)
         profiler = PhaseProfiler()
-        # At 250 m some links have a node inside the circle on their
-        # diameter, so the kernel decides them (11 evaluations).
         scenario = Scenario(
             n_nodes=10, active_nodes=5, radius=250.0, message_count=2,
             sim_time=15.0, seed=3,
         )
         run_single(scenario, "glr", profiler=profiler)
         snap = profiler.snapshot()
-        # The kernel itself ran: the test does not rest on fallbacks.
-        assert builds and kernel_calls
-        evaluations = len(kernel_calls) + len(triangulations)
+        # Circle parameters were filled: the test does not rest on
+        # fallbacks.
+        assert builds and fills
+        evaluations = len(fills) + len(triangulations)
         assert snap[PHASE_LDT] >= 0.01 * (len(builds) + evaluations)
         assert snap[PHASE_UDG] < 0.01 * len(builds)
         assert snap[PHASE_PROTOCOL] < 0.01 * evaluations
+
+    def test_charged_moves_a_callee_to_its_phase(self):
+        profiler = PhaseProfiler()
+        slow = charged(profiler, PHASE_MOBILITY, lambda: time.sleep(0.02))
+        t0 = profiler.start()
+        slow()
+        profiler.add(PHASE_MAC, t0)
+        snap = profiler.snapshot()
+        assert snap[PHASE_MOBILITY] >= 0.02 > snap[PHASE_MAC]
+
+        def plain():
+            return None
+
+        assert charged(NULL_PROFILER, PHASE_MOBILITY, plain) is plain
+
+    def test_mac_position_reads_are_charged_to_mobility(self, monkeypatch):
+        import sys
+
+        from repro.experiments.runner import build_world
+        from repro.experiments.scenarios import Scenario
+
+        scenario = Scenario(
+            n_nodes=10, active_nodes=5, radius=250.0, message_count=2,
+            sim_time=15.0, seed=3,
+        )
+        mobility_cls = type(build_world(scenario, "glr").mobility)
+        position = mobility_cls.position
+        mac_reads = []
+
+        def slow_position(self, node, t):
+            callers = (sys._getframe(1), sys._getframe(2))
+            if any(f.f_code.co_filename.endswith("mac.py") for f in callers):
+                mac_reads.append(1)
+            time.sleep(0.0005)
+            return position(self, node, t)
+
+        monkeypatch.setattr(mobility_cls, "position", slow_position)
+        profiler = PhaseProfiler()
+        build_world(scenario, "glr", profiler=profiler).run(scenario.sim_time)
+        snap = profiler.snapshot()
+        slept = 0.0005 * len(mac_reads)
+        assert mac_reads
+        assert snap[PHASE_MOBILITY] >= slept > snap[PHASE_MAC]
+
+    def test_phases_sum_to_the_wall_time(self, monkeypatch):
+        """Every moment of a task is charged to one phase: the event
+        loop takes what the calendar run spends outside the others, and
+        the task's set-up is small next to its run."""
+        from repro.experiments.campaign import ReplicateTask, _run_task_timed
+        from repro.experiments.scenarios import PAPER_TABLE1
+
+        monkeypatch.setenv(PROFILE_ENV, "1")
+        for protocol in ("glr", "epidemic"):
+            scenario = PAPER_TABLE1.but(sim_time=150.0, message_count=100)
+            _, wall, profile = _run_task_timed(
+                ReplicateTask(scenario, protocol, 0)
+            )
+            assert set(profile) == set(PHASES)
+            assert profile[PHASE_EVENT_LOOP] > 0.0
+            assert sum(profile.values()) == pytest.approx(wall, rel=0.02)
 
     def test_aggregate_sums_per_cell_and_skips_unprofiled(self):
         records = [

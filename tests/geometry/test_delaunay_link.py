@@ -1,17 +1,16 @@
-"""The per-link Delaunay kernel answers what the triangulation answers.
+"""The LDTG's per-link answers against the triangulation and an exact oracle.
 
-:func:`~repro.geometry.delaunay.delaunay_link` decides whether one link
-``uv`` is a Delaunay edge with a handful of empty-circle tests.  Given
-the set's super-triangle as ghost points, it must say what
-:func:`~repro.geometry.delaunay.delaunay_edges` says whenever it
-decides, hull-edge loss included, on random, near-cocircular and
-lattice inputs.  The LDTG's Gabriel shortcut (an empty circle on
-diameter ``uv`` plus one point with a small circle through ``u`` and
-``v``) must never contradict the triangulation either.  A disagreement
-is allowed only where some predicate among the points sits on the edge
-of its tolerance band, which the two evaluate in different vertex
-orders (:func:`on_band_edge`); points a hair apart, which make the
-triangulation itself unsound, are left out (:func:`spread_out`).
+:meth:`~repro.graphs.ldt.LocalDelaunayGraph.has` decides whether a link
+is an edge of ``A(S)`` from circle parameters, and asks
+:func:`~repro.geometry.delaunay.delaunay_link` only when an apex circle
+may reach the super-triangle.  Over one k-hop set holding every point,
+each answer must be what :func:`~repro.geometry.delaunay.delaunay_edges`
+says, hull-edge loss included.  Where it is not, a circle test of
+Bowyer–Watson has fallen inside its tolerance band and the triangulation
+is wrong: the answer must then equal :func:`exact_answer`, the same rule
+decided in exact arithmetic over the float coordinates, and that answer
+must not rest on a tie (where the LDTG has to fall back to the
+triangulation).
 
 The Hypothesis properties take their example count from the loaded
 profile: ``HYPOTHESIS_PROFILE=ci`` runs five times the default.
@@ -20,21 +19,25 @@ profile: ``HYPOTHESIS_PROFILE=ci`` runs five times the default.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.geometry import delaunay as delaunay_mod
 from repro.geometry.delaunay import (
-    anchors_real_triangle,
     delaunay_edges,
     delaunay_link,
     delaunay_triangulation,
     super_triangle,
 )
-from repro.geometry.predicates import _EPS, Orientation, orientation
-from repro.geometry.primitives import Point, distance_sq
+from repro.geometry.predicates import Orientation, orientation
+from repro.geometry.primitives import Point
+from repro.graphs import ldt as ldt_mod
+from repro.graphs.ldt import local_delaunay_edges_of, local_delaunay_graph
+from repro.graphs.udg import unit_disk_graph
 
 from tests.conftest import random_points
 from tests.geometry.test_kernel_guard import grid, near_cocircular
@@ -42,215 +45,222 @@ from tests.geometry.test_kernel_guard import grid, near_cocircular
 coords = st.floats(min_value=0.0, max_value=500.0)
 scattered = st.lists(st.builds(Point, coords, coords), max_size=20)
 
+#: Larger than any set the strategies draw: every point is in range of
+#: every other, so node 0's 1-hop set holds them all.
+RADIUS = 1e7
 
-def spread_out(points: list[Point], fraction: float = 1e-5) -> list[Point]:
-    """``points`` less each one closer than ``fraction`` of their
-    diameter to a point kept before it.
+#: Five points near one circle.  For link 1-3 Qhull and exact arithmetic
+#: both find an empty circle, but Bowyer-Watson drops the edge: one of
+#: its circle tests falls inside the tolerance band.
+BAND_MISS = [
+    Point(-0.130045886420982, 0.28415544588302555),
+    Point(0.3125, 0.0),
+    Point(0.16884447058379368, 0.26295968275246767),
+    Point(-0.016930354383417598, 0.31204104391869736),
+    Point(-0.3093726551876392, 0.044100002518708506),
+]
 
-    Near-coincident points make Bowyer-Watson unsound: the in-circle
-    tests that involve them fall inside the tolerance band in every
-    vertex order, and the triangulation can lose a vertex outright
-    (pinned in :class:`TestNearCoincidentPoints`).  No per-link test can
-    reproduce that, so the properties leave such points out.
+#: Three of these five points on the unit circle lie within a nanometre
+#: of each other: Bowyer-Watson leaves one of them out altogether.
+NEAR_COINCIDENT = [
+    Point(-0.6536436208636119, -0.7568024953079282),
+    Point(1.0, 0.0),
+    Point(1.0, 8.375203737875196e-10),
+    Point(0.9999999994428016, 0.0),
+    Point(0.5403023058681398, 0.8414709848078965),
+]
+
+
+#: Two points of this near-cocircular set lie 7e-11 apart.  For link 6-11
+#: one of them has a far less precise ``τ`` than the others: ordered by
+#: ``τ`` alone, it would not be the right side's first entry, although it
+#: is that side's extreme.
+IMPRECISE_EXTREME = [
+    Point(0.992197667229329, 0.12467473338522769),
+    Point(-0.8011436155469337, 0.5984721441039565),
+    Point(0.28366218546322625, -0.9589242746631385),
+    Point(-0.9899924966004454, 0.1411200080598672),
+    Point(-0.6536436208636119, -0.7568024953079282),
+    Point(0.7316888688738209, 0.6816387600233341),
+    Point(1.0, 6.790991307774761e-11),
+    Point(0.0707372016677029, 0.9974949866040544),
+    Point(-0.4161468365471424, 0.9092974268256817),
+    Point(0.8775825618903728, 0.479425538604203),
+    Point(0.5403023058681398, 0.8414709848078965),
+    Point(-0.4161468356593233, 0.9092974268256817),
+    Point(1.0, 0.0),
+]
+
+
+def exact_answer(points: list[Point], i: int, j: int) -> bool | None:
+    """Whether Bowyer–Watson, run in exact arithmetic, keeps link ``ij``;
+    None when that rests on a tie.
+
+    The super-triangle's vertices join the set.  ``ij`` is a Delaunay
+    edge iff its largest right ``τ`` is below its smallest left one, and
+    it is kept iff the point attaining one of those is not a ghost.
+    Exact ties, points on the line through ``ij`` and ties for an apex
+    are ties.
     """
-    if len(points) < 2:
-        return points
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
-    limit = (fraction * math.hypot(max(xs) - min(xs), max(ys) - min(ys))) ** 2
-    kept: list[Point] = []
-    for p in points:
-        if all(distance_sq(p, q) > limit for q in kept):
-            kept.append(p)
-    return kept
-
-
-def pairs(points):
-    for i, j in combinations(range(len(points)), 2):
-        yield i, j, points[:i] + points[i + 1 : j] + points[j + 1 :]
-
-
-def band_position(value: float, scale: float) -> float:
-    """A determinant's size in units of its tolerance band."""
-    return abs(value) / (_EPS * scale)
-
-
-def in_circle_positions(a: Point, b: Point, c: Point, d: Point) -> list[float]:
-    """Band positions of the in-circle test of four points, once per
-    point taken as the query (the predicate's scale depends on it)."""
-    positions = []
-    for q in range(4):
-        quad = (a, b, c, d)
-        p = quad[q]
-        (ax, ay), (bx, by), (cx, cy) = (
-            (r.x - p.x, r.y - p.y) for i, r in enumerate(quad) if i != q
-        )
-        a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
-        det = (
-            ax * (by * c2 - cy * b2)
-            - ay * (bx * c2 - cx * b2)
-            + a2 * (bx * cy - cx * by)
-        )
-        scale = (
-            abs(ax) * (abs(by) * c2 + abs(cy) * b2)
-            + abs(ay) * (abs(bx) * c2 + abs(cx) * b2)
-            + a2 * (abs(bx) * abs(cy) + abs(cx) * abs(by))
-            + 1.0
-        )
-        positions.append(band_position(det, scale))
-    return positions
-
-
-def orientation_positions(a: Point, b: Point, c: Point) -> list[float]:
-    """Band positions of the orientation test, once per base point."""
-    positions = []
-    for p, q, r in ((a, b, c), (b, c, a), (c, a, b)):
-        value = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
-        scale = (
-            abs(q.x - p.x) * abs(r.y - p.y)
-            + abs(q.y - p.y) * abs(r.x - p.x)
-            + 1.0
-        )
-        positions.append(band_position(value, scale))
-    return positions
-
-
-def straddles(positions: list[float]) -> bool:
-    return min(positions) <= 1.001 and max(positions) >= 0.999
-
-
-def on_band_edge(points: list[Point]) -> bool:
-    """Whether some test among the points sits on the edge of the
-    tolerance band: inside it with one point as query or base, outside
-    it with another (or within rounding of the edge).
-
-    The kernel and Bowyer-Watson may then decide that test differently,
-    since each picks its query point by its own logic.  Sets without
-    such a test must agree exactly.
-    """
-    return any(
-        straddles(orientation_positions(*triple))
-        for triple in combinations(points, 3)
-    ) or any(
-        straddles(in_circle_positions(*quad)) for quad in combinations(points, 4)
-    )
-
-
-def assert_kernel_matches_triangulation(points: list[Point]) -> None:
-    points = spread_out(points)
-    if len(points) < 3:
-        return
-    edges = delaunay_edges(points)
-    has_triangle = bool(delaunay_triangulation(points).triangles)
-    ghosts = super_triangle(points)
-    for i, j, others in pairs(points):
-        answer = delaunay_link(points[i], points[j], others, ghosts)
-        if answer is None or (answer is False and not has_triangle):
-            # Without a triangle delaunay_edges falls back to a chain
-            # along the points, which no empty-circle test describes.
+    u, v = points[i], points[j]
+    ux, uy, vx, vy = (Fraction(c) for c in (u.x, u.y, v.x, v.y))
+    bx, by = vx - ux, vy - uy
+    sides: dict[bool, list[tuple[Fraction, bool]]] = {True: [], False: []}
+    real = len(points)
+    for k, p in enumerate(points + list(super_triangle(points))):
+        if k in (i, j):
             continue
-        if answer != ((i, j) in edges):
-            assert on_band_edge(points + list(ghosts)), (i, j, answer)
+        px, py = Fraction(p.x), Fraction(p.y)
+        ax, ay = px - ux, py - uy
+        s = bx * ay - by * ax
+        if s == 0:
+            return None
+        tau = (ax * (px - vx) + ay * (py - vy)) / (2 * s)
+        sides[s > 0].append((tau, k < real))
+    low = min(tau for tau, _ in sides[True])
+    high = max(tau for tau, _ in sides[False])
+    if low == high:
+        return None
+    if low < high:
+        return False
+    left = [is_real for tau, is_real in sides[True] if tau == low]
+    right = [is_real for tau, is_real in sides[False] if tau == high]
+    if len(left) > 1 or len(right) > 1:
+        return None
+    return left[0] or right[0]
 
 
-def gabriel_with_witness(u: Point, v: Point, others: list[Point]) -> bool:
-    """The LDTG's shortcut, stated over points."""
-    mid = Point((u.x + v.x) / 2.0, (u.y + v.y) / 2.0)
-    limit = distance_sq(u, v) / 4.0 * (1.0 + 1e-9)
-    return all(distance_sq(p, mid) > limit for p in others) and any(
-        anchors_real_triangle(u, v, w) for w in others
-    )
+def assert_has_matches(points: list[Point]) -> None:
+    if len(points) < 2:
+        return
+    positions = dict(enumerate(points))
+    udg = unit_disk_graph(positions, RADIUS)
+    ldt = local_delaunay_graph(positions, RADIUS, k=1, udg=udg)
+    expected = local_delaunay_edges_of(udg, 0, 1)
+    for i, j in combinations(range(len(points)), 2):
+        link = frozenset((i, j))
+        answer = ldt.has(0, link)
+        if answer != (link in expected):
+            exact = exact_answer(points, i, j)
+            assert exact is not None and answer == exact, (i, j, answer)
 
 
-def assert_gabriel_links_are_edges(points: list[Point]) -> None:
-    points = spread_out(points)
-    edges = delaunay_edges(points)
-    for i, j, others in pairs(points):
-        if gabriel_with_witness(points[i], points[j], others):
-            if (i, j) not in edges:
-                ghosts = list(super_triangle(points))
-                assert on_band_edge(points + ghosts), (i, j)
-
-
-class TestKernelAgainstTriangulation:
+class TestLdtgAgainstTriangulation:
     @settings(deadline=None)
     @given(scattered)
     def test_random(self, points):
-        assert_kernel_matches_triangulation(points)
+        assert_has_matches(points)
 
     @settings(deadline=None)
     @given(near_cocircular(min_size=3))
+    @example(BAND_MISS)
+    @example(NEAR_COINCIDENT)
+    @example(IMPRECISE_EXTREME)
     def test_near_cocircular(self, points):
-        assert_kernel_matches_triangulation(points)
+        assert_has_matches(points)
 
     @settings(deadline=None)
     @given(grid())
     def test_grid(self, points):
-        assert_kernel_matches_triangulation(points)
+        assert_has_matches(points)
+
+    def test_band_miss_is_answered_exactly(self):
+        # The triangulation drops link 1-3; the LDTG keeps it.
+        assert (1, 3) not in delaunay_edges(BAND_MISS)
+        assert exact_answer(BAND_MISS, 1, 3) is True
+        positions = dict(enumerate(BAND_MISS))
+        ldt = local_delaunay_graph(positions, RADIUS, k=1)
+        assert ldt.has(0, frozenset((1, 3)))
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_decides_general_position(self, seed):
-        # Random points are in general position: nothing is left to
-        # the fallback triangulation.
+    def test_general_position_matches_exactly(self, seed):
         points = random_points(15, seed)
-        ghosts = super_triangle(points)
+        positions = dict(enumerate(points))
+        ldt = local_delaunay_graph(positions, RADIUS, k=1)
         edges = delaunay_edges(points)
-        for i, j, others in pairs(points):
-            answer = delaunay_link(points[i], points[j], others, ghosts)
-            assert answer == ((i, j) in edges)
-
-    def test_square_diagonals_are_ties(self):
-        square = [Point(0, 0), Point(10, 0), Point(10, 10), Point(0, 10)]
-        ghosts = super_triangle(square)
-        assert delaunay_link(square[0], square[2], square[1::2], ghosts) is None
-        assert delaunay_link(square[1], square[3], square[0::2], ghosts) is None
-        # The sides tie too: both far corners lie on one circle with them.
-        assert delaunay_link(square[0], square[1], square[2:], ghosts) is None
-        kite = [Point(0, 0), Point(10, 0), Point(12, 12), Point(0, 10)]
-        ghosts = super_triangle(kite)
-        assert delaunay_link(kite[0], kite[2], kite[1::2], ghosts) is False
-        assert delaunay_link(kite[1], kite[3], kite[0::2], ghosts) is True
-
-    def test_collinear_point_and_empty_side_are_undecided(self):
-        u, v = Point(0, 0), Point(10, 0)
-        assert delaunay_link(u, v, [Point(20, 0), Point(5, 5)]) is None
-        assert delaunay_link(u, v, [Point(5, 5), Point(3, 4)]) is None
+        for i, j in combinations(range(15), 2):
+            assert ldt.has(0, frozenset((i, j))) == ((i, j) in edges)
+            assert exact_answer(points, i, j) == ((i, j) in edges)
 
 
-class TestGabrielShortcut:
-    @settings(deadline=None)
-    @given(scattered)
-    def test_random(self, points):
-        assert_gabriel_links_are_edges(points)
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Sizes of the point sets the LDTG triangulates."""
+    sizes: list[int] = []
+    triangulate = ldt_mod.delaunay_edges
 
-    @settings(deadline=None)
-    @given(near_cocircular(min_size=3))
-    def test_near_cocircular(self, points):
-        assert_gabriel_links_are_edges(points)
+    def counted(points):
+        sizes.append(len(points))
+        return triangulate(points)
 
-    @settings(deadline=None)
-    @given(grid())
-    def test_grid(self, points):
-        assert_gabriel_links_are_edges(points)
+    monkeypatch.setattr(ldt_mod, "delaunay_edges", counted)
+    return sizes
 
-    def test_flat_set_needs_the_witness(self):
+
+class TestTies:
+    SQUARE = {0: Point(0, 0), 1: Point(10, 0), 2: Point(10, 10), 3: Point(0, 10)}
+
+    def test_square_falls_back(self, fallbacks):
+        # Both diagonals and all four sides rest on one circle.
+        expected = set(map(frozenset, delaunay_edges(list(self.SQUARE.values()))))
+        ldt = local_delaunay_graph(self.SQUARE, RADIUS, k=1)
+        for link in map(frozenset, combinations(self.SQUARE, 2)):
+            assert ldt.has(0, link) == (link in expected)
+        assert fallbacks == [4]
+
+    def test_tied_apexes_fall_back(self, fallbacks):
+        # Side 0-1 is an edge, but its two candidate apexes lie on one
+        # circle with it.
+        ldt = local_delaunay_graph(self.SQUARE, RADIUS, k=1)
+        assert ldt.has(0, frozenset((0, 1)))
+        assert fallbacks == [4]
+
+    def test_kite_is_decided(self, fallbacks):
+        kite = {0: Point(0, 0), 1: Point(10, 0), 2: Point(12, 12), 3: Point(0, 10)}
+        ldt = local_delaunay_graph(kite, RADIUS, k=1)
+        assert not ldt.has(0, frozenset((0, 2)))
+        assert ldt.has(0, frozenset((1, 3)))
+        assert fallbacks == []
+
+    def test_point_on_the_line_falls_back(self, fallbacks):
+        points = {0: Point(0, 0), 1: Point(10, 0), 2: Point(20, 0), 3: Point(5, 5)}
+        ldt = local_delaunay_graph(points, RADIUS, k=1)
+        assert not ldt.has(0, frozenset((0, 2)))
+        assert fallbacks == [4]
+
+
+class TestSuperTriangle:
+    def test_flat_set_loses_a_link_with_an_empty_circle(self):
         # A set 1 m tall and 100 m wide: the circle on diameter 1-3 is
-        # empty, yet both triangles on that link keep a super-triangle
-        # vertex, so the triangulation drops it.  No point has a small
-        # circle through 1 and 3, so the shortcut does not answer.
+        # empty, yet both circles through 1, 3 and an apex hold a
+        # super-triangle vertex, so the triangulation drops the link.
         points = [
             Point(177.7922731881497, 0.13042279608514273),
             Point(274.78344351929434, 0.47405353654712656),
             Point(174.25562530501676, 0.6055995301393269),
             Point(272.64552005559744, 0.4692323376190216),
         ]
-        others = [points[0], points[2]]
         assert bool(delaunay_triangulation(points).triangles)
         assert (1, 3) not in delaunay_edges(points)
-        assert not gabriel_with_witness(points[1], points[3], others)
-        assert delaunay_link(
-            points[1], points[3], others, super_triangle(points)
-        ) is False
+        ghosts = super_triangle(points)
+        assert delaunay_link(points[1], points[3], points[0], points[2], ghosts) is False
+        ldt = local_delaunay_graph(dict(enumerate(points)), RADIUS, k=1)
+        assert not ldt.has(0, frozenset((1, 3)))
+
+    def test_one_in_circle_test_per_apex(self, monkeypatch):
+        calls = []
+        in_circle = delaunay_mod.in_circle
+
+        def counted(*args):
+            calls.append(args[3])
+            return in_circle(*args)
+
+        monkeypatch.setattr(delaunay_mod, "in_circle", counted)
+        u, v, apex = Point(0, 0), Point(10, 0), Point(5, 4)
+        ghosts = super_triangle([u, v, apex])
+        # An edge of the hull: its only apex circle is small.
+        assert delaunay_link(u, v, apex, None, ghosts) is True
+        assert len(calls) == 1 and calls[0] in ghosts
 
 
 def subtended(p: Point, u: Point, v: Point) -> float:
@@ -292,33 +302,21 @@ class TestKnownHullEdgeLoss:
     def test_triangulation_keeps_the_hull_edge(self):
         assert (1, 4) in delaunay_edges(self.POINTS)
 
-    def test_kernel_reproduces_the_miss(self):
-        others = [p for k, p in enumerate(self.POINTS) if k not in (1, 4)]
-        ghosts = super_triangle(self.POINTS)
-        assert delaunay_link(self.POINTS[1], self.POINTS[4], others, ghosts) is False
+    def test_ldtg_reproduces_the_miss(self):
+        assert exact_answer(self.POINTS, 1, 4) is False
+        ldt = local_delaunay_graph(dict(enumerate(self.POINTS)), RADIUS, k=1)
+        assert not ldt.has(0, frozenset((1, 4)))
 
 
 class TestNearCoincidentPoints:
     """Bowyer-Watson's other known defect, pinned on one set.
 
-    Three of these five points on the unit circle lie within a
-    nanometre of each other.  Every in-circle test that involves two of
-    them falls inside the tolerance band, so inserting the last point
-    finds no triangle to replace and the point is left out.
+    Every in-circle test that involves two of the three points a
+    nanometre apart falls inside the tolerance band, so inserting the
+    last point finds no triangle to replace and the point is left out.
     """
-
-    POINTS = [
-        Point(-0.6536436208636119, -0.7568024953079282),
-        Point(1.0, 0.0),
-        Point(1.0, 8.375203737875196e-10),
-        Point(0.9999999994428016, 0.0),
-        Point(0.5403023058681398, 0.8414709848078965),
-    ]
 
     @pytest.mark.xfail(strict=True, reason="near-coincident vertex lost")
     def test_triangulation_keeps_every_vertex(self):
-        edges = delaunay_edges(self.POINTS)
+        edges = delaunay_edges(NEAR_COINCIDENT)
         assert {i for edge in edges for i in edge} == set(range(5))
-
-    def test_properties_leave_them_out(self):
-        assert spread_out(self.POINTS) == [self.POINTS[0], self.POINTS[1], self.POINTS[4]]

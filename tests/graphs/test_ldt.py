@@ -385,57 +385,79 @@ class TestPerLinkAnswers:
 
 
 class TestMemoisation:
-    """The per-link answers are evaluated once and only when asked.
+    """Each node's ``τ`` is computed once per link and snapshot, each
+    (k-hop set, link) is answered once, and only what is asked costs.
 
-    ``calls`` records each kernel evaluation as its link's endpoints
-    and each fallback triangulation as the size of its point set.
+    ``work`` records each ``τ`` fill as its (link ends, node) pair, each
+    answer as its (k-hop set, link) pair, each super-triangle decision as
+    its link ends, and each fallback triangulation as the size of its
+    point set.
     """
 
     @pytest.fixture
-    def calls(self, monkeypatch):
-        record = {"kernel": [], "triangulated": []}
-        kernel = ldt_mod.delaunay_link
+    def work(self, monkeypatch):
+        record = {"tau": [], "answers": [], "ghosts": [], "triangulated": []}
+        add = ldt_mod.LinkCircles.add
+        decide = ldt_mod.LocalDelaunayGraph._decide
+        ghosts = ldt_mod.delaunay_link
         triangulate = ldt_mod.delaunay_edges
 
-        def counted_kernel(u, v, others, ghosts):
-            record["kernel"].append(frozenset((u, v)))
-            return kernel(u, v, others, ghosts)
+        def counted_add(circles, nodes, positions):
+            ends = frozenset((circles.u, circles.v))
+            record["tau"].extend((ends, node) for node in nodes)
+            return add(circles, nodes, positions)
+
+        def counted_decide(graph, hood, link):
+            record["answers"].append((hood, link))
+            return decide(graph, hood, link)
+
+        def counted_ghosts(u, v, left, right, vertices):
+            record["ghosts"].append(frozenset((u, v)))
+            return ghosts(u, v, left, right, vertices)
 
         def counted_triangulate(points):
             record["triangulated"].append(len(points))
             return triangulate(points)
 
-        monkeypatch.setattr(ldt_mod, "delaunay_link", counted_kernel)
+        monkeypatch.setattr(ldt_mod.LinkCircles, "add", counted_add)
+        monkeypatch.setattr(ldt_mod.LocalDelaunayGraph, "_decide", counted_decide)
+        monkeypatch.setattr(ldt_mod, "delaunay_link", counted_ghosts)
         monkeypatch.setattr(ldt_mod, "delaunay_edges", counted_triangulate)
         return record
 
     #: Four nodes in range of each other, in convex position but not on
-    #: one circle: every 2-hop set is all four, the sides are decided by
-    #: the Gabriel shortcut and the two diagonals by the kernel.
+    #: one circle: every 2-hop set is all four.  The diagonals are
+    #: decided by their circle parameters; each side has an empty side,
+    #: whose circle reaches the super-triangle.
     KITE = {0: Point(0, 0), 1: Point(10, 0), 2: Point(12, 12), 3: Point(0, 10)}
 
-    def test_one_kernel_evaluation_per_k_hop_set_and_link(self, calls):
+    def test_one_tau_per_link_and_node(self, work):
         ldt = local_delaunay_graph(self.KITE, radius=30.0, k=2)
-        assert calls["kernel"] == []
+        assert work["tau"] == []
         assert ldt.neighbors(0) == {1, 3}
-        diagonal = frozenset((self.KITE[0], self.KITE[2]))
-        assert calls["kernel"] == [diagonal]
         assert ldt.edge_count() == 5
-        other = frozenset((self.KITE[1], self.KITE[3]))
-        assert calls["kernel"] in ([diagonal, other], [other, diagonal])
-        assert calls["triangulated"] == []
+        # Six links, each with two other nodes.
+        assert len(work["tau"]) == len(set(work["tau"])) == 12
+        sides = {
+            frozenset((self.KITE[a], self.KITE[b]))
+            for a, b in [(0, 1), (1, 2), (2, 3), (3, 0)]
+        }
+        assert sorted(work["ghosts"], key=repr) == sorted(sides, key=repr)
+        assert work["triangulated"] == []
 
-    def test_identical_k_hop_sets_share_answers(self, calls):
+    def test_answers_are_memoised_per_k_hop_set_and_link(self, work):
         ldt = local_delaunay_graph(self.KITE, radius=30.0, k=2)
         for node in self.KITE:
             ldt.neighbors(node)
-        # Every node asked about both diagonals (as endpoint or witness).
-        assert len(calls["kernel"]) == 2
+        # Every node asked about every link (as endpoint or witness), all
+        # in the one k-hop set they share.
+        assert len(work["answers"]) == len(set(work["answers"])) == 6
         link = frozenset((0, 2))
         assert {ldt.has(node, link) for node in self.KITE} == {False}
-        assert len(calls["kernel"]) == 2
+        assert len(work["answers"]) == 6
+        assert len(work["tau"]) == 12
 
-    def test_unqueried_cluster_costs_nothing(self, calls):
+    def test_unqueried_cluster_costs_nothing(self, work):
         # Two kites far apart and an isolated node: a query in one kite
         # never evaluates the other, and the isolated node evaluates
         # nothing.
@@ -446,28 +468,97 @@ class TestMemoisation:
         positions[8] = Point(900, 900)
         ldt = local_delaunay_graph(positions, radius=30.0, k=2)
         assert ldt.neighbors(5) == {4, 6, 7}
-        assert len(calls["kernel"]) == 1
-        assert all(p.x >= 500.0 for link in calls["kernel"] for p in link)
+        asked = len(work["tau"])
+        assert asked > 0
+        assert all(p.x >= 500.0 for ends, _ in work["tau"] for p in ends)
         assert ldt.neighbors(8) == set()
-        assert len(calls["kernel"]) == 1
-        assert calls["triangulated"] == []
+        assert len(work["tau"]) == asked
+        assert work["triangulated"] == []
 
-    def test_small_and_duplicate_k_hop_sets_fall_back(self, calls):
+    def test_small_and_duplicate_k_hop_sets_fall_back(self, work):
         pair = {0: Point(0, 0), 1: Point(5, 0)}
         ldt = local_delaunay_graph(pair, radius=10.0, k=2)
         assert ldt.neighbors(0) == {1}
         assert ldt.neighbors(1) == {0}
-        assert calls == {"kernel": [], "triangulated": [2]}
+        assert work["tau"] == [] and work["ghosts"] == []
+        assert work["triangulated"] == [2]
 
         shared = {0: Point(0, 0), 1: Point(10, 0), 2: Point(5, 8), 3: Point(5, 8)}
         ldt = local_delaunay_graph(shared, radius=20.0, k=2)
         reference = eager_local_delaunay_graph(shared, 20.0)
         assert ldt.adjacency == {n: reference.neighbors(n) for n in shared}
-        assert calls == {"kernel": [], "triangulated": [2, 4]}
+        assert work["tau"] == [] and work["ghosts"] == []
+        assert work["triangulated"] == [2, 4]
 
-    def test_general_position_never_falls_back(self, calls):
+    def test_general_position_never_falls_back(self, work):
         positions = positions_of(random_points(40, 3))
         ldt = local_delaunay_graph(positions, radius=300.0, k=2)
         assert ldt.edge_count() > 0
-        assert calls["kernel"]
-        assert calls["triangulated"] == []
+        assert work["tau"]
+        assert work["triangulated"] == []
+
+
+class TestWorkCounters:
+    """The LDTG's deterministic work on a short Table 1 run (60 s, 50
+    messages, seed 1), pinned exactly.
+
+    A change that keeps every answer but does more work, such as sending
+    more questions to the super-triangle or to the fallback, moves these
+    counts even when no metric moves.
+    """
+
+    def test_short_table1_run(self, monkeypatch):
+        from repro.experiments.runner import run_single
+        from repro.experiments.scenarios import PAPER_TABLE1
+        from repro.geometry import delaunay as delaunay_mod
+
+        counts = dict.fromkeys(
+            ("tau", "answers", "ghosts", "ghost_in_circle", "triangulated"), 0
+        )
+        add = ldt_mod.LinkCircles.add
+        decide = ldt_mod.LocalDelaunayGraph._decide
+        ghosts = ldt_mod.delaunay_link
+        in_circle = delaunay_mod.in_circle
+        triangulate = ldt_mod.delaunay_edges
+        deciding_ghosts = []
+
+        def counted_add(circles, nodes, positions):
+            counts["tau"] += len(nodes)
+            return add(circles, nodes, positions)
+
+        def counted_decide(graph, hood, link):
+            counts["answers"] += 1
+            return decide(graph, hood, link)
+
+        def counted_ghosts(*args):
+            counts["ghosts"] += 1
+            deciding_ghosts.append(True)
+            try:
+                return ghosts(*args)
+            finally:
+                deciding_ghosts.pop()
+
+        def counted_in_circle(*args):
+            counts["ghost_in_circle"] += bool(deciding_ghosts)
+            return in_circle(*args)
+
+        def counted_triangulate(points):
+            counts["triangulated"] += 1
+            return triangulate(points)
+
+        monkeypatch.setattr(ldt_mod.LinkCircles, "add", counted_add)
+        monkeypatch.setattr(ldt_mod.LocalDelaunayGraph, "_decide", counted_decide)
+        monkeypatch.setattr(ldt_mod, "delaunay_link", counted_ghosts)
+        monkeypatch.setattr(delaunay_mod, "in_circle", counted_in_circle)
+        monkeypatch.setattr(ldt_mod, "delaunay_edges", counted_triangulate)
+        scenario = PAPER_TABLE1.but(
+            sim_time=60.0, message_count=50, engine="reference"
+        )
+        run_single(scenario, "glr")
+        assert counts == {
+            "tau": 25235,
+            "answers": 8663,
+            "ghosts": 1069,
+            "ghost_in_circle": 1069,
+            "triangulated": 17,
+        }
