@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 
-from repro.geometry.primitives import Point
+from repro.geometry.primitives import Point, distance_sq
 
 #: Relative tolerance used to classify near-zero determinants.  The
 #: determinants below are sums of products of coordinates, so the natural
@@ -97,19 +97,37 @@ def circumcircle(a: Point, b: Point, c: Point) -> tuple[Point, float]:
 
     Raises :class:`ValueError` for (near-)collinear input, where the
     circumcircle degenerates to a line.
+
+    The centre is solved for relative to the vertex opposite the longest
+    side, whose angle is the largest: the two sides that meet there are
+    then as far from parallel as the triangle allows, so their cross
+    product does not cancel when two vertices nearly coincide (solved in
+    absolute coordinates, ``(0, 9), (89, 0), (89, 2.4e-9)`` came out with
+    its vertices 1e-6 of the radius apart in distance from the centre).
     """
     d = 2.0 * (a.x * (b.y - c.y) + b.x * (c.y - a.y) + c.x * (a.y - b.y))
     scale = abs(a.x * b.y) + abs(b.x * c.y) + abs(c.x * a.y) + 1.0
     if abs(d) <= _EPS * scale:
         raise ValueError("circumcircle of collinear points is undefined")
 
-    a_sq = a.x * a.x + a.y * a.y
-    b_sq = b.x * b.x + b.y * b.y
-    c_sq = c.x * c.x + c.y * c.y
-
-    ux = (a_sq * (b.y - c.y) + b_sq * (c.y - a.y) + c_sq * (a.y - b.y)) / d
-    uy = (a_sq * (c.x - b.x) + b_sq * (a.x - c.x) + c_sq * (b.x - a.x)) / d
-    center = Point(ux, uy)
+    ab, bc, ca = distance_sq(a, b), distance_sq(b, c), distance_sq(c, a)
+    if ab >= bc and ab >= ca:
+        o, p, q = c, a, b
+    elif bc >= ca:
+        o, p, q = a, b, c
+    else:
+        o, p, q = b, c, a
+    px, py = p.x - o.x, p.y - o.y
+    qx, qy = q.x - o.x, q.y - o.y
+    cross = 2.0 * (px * qy - py * qx)
+    if cross == 0.0:
+        raise ValueError("circumcircle of collinear points is undefined")
+    p_sq = px * px + py * py
+    q_sq = qx * qx + qy * qy
+    center = Point(
+        o.x + (qy * p_sq - py * q_sq) / cross,
+        o.y + (px * q_sq - qx * p_sq) / cross,
+    )
     radius = center.distance_to(a)
     return center, radius
 

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.geometry.predicates import (
@@ -105,6 +105,9 @@ class TestCircumcircle:
             circumcircle(Point(0, 0), Point(1, 1), Point(2, 2))
 
     @given(points, points, points)
+    # Two nearly coincident vertices: solved in absolute coordinates,
+    # the cross product cancelled and broke the 1e-6 tolerance.
+    @example(Point(0.0, 9.0), Point(89.0, 0.0), Point(89.0, 2.449579912995924e-09))
     def test_equidistance_property(self, a, b, c):
         try:
             center, radius = circumcircle(a, b, c)
